@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .graphs import RankGraph
+from .graphs import RankGraph, _edge_union
 from .lso import build_lso_family
 from .rng import derive_seed
 from .spanners1d import four_hop_spanner, khop_spanner
@@ -169,18 +169,15 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
         raise ValueError(f"unknown mode {mode!r}; expected 'four-hop' or 'log-hop'")
 
     ids = _spread_ids(len(fam), max_orderings)
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    union = RankGraph.from_edges(n, [])
     for oid in ids.tolist():
-        o = fam.ordering(oid)
-        order = fam.sort_indices(o, points.coords)  # rank -> 0-based point index
+        pid = fam.sort_indices(fam.ordering(oid), points.coords) + 1  # by rank
         sub = build_ranks(derive_seed(seed, oid))
-        pu = order[sub.edge_i - 1]
-        pv = order[sub.edge_j - 1]
-        adj[np.minimum(pu, pv) + 1, np.maximum(pu, pv) + 1] = True
-    ei, ej = np.nonzero(adj)
-    weights = np.linalg.norm(points.coords[ei - 1] - points.coords[ej - 1], axis=1)
-    graph = RankGraph(n, ei.astype(np.int32), ej.astype(np.int32), weights,
-                      _validated=True)
+        union = _edge_union(n, np.concatenate([union.edge_i, pid[sub.edge_i - 1]]),
+                            np.concatenate([union.edge_j, pid[sub.edge_j - 1]]))
+    weights = np.linalg.norm(points.coords[union.edge_i - 1]
+                             - points.coords[union.edge_j - 1], axis=1)
+    graph = RankGraph(n, union.edge_i, union.edge_j, weights, _validated=True)
     info = {
         "mode": mode,
         "eps": eps,
@@ -191,6 +188,7 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
         "family_eps": fam.eps,
         "family_size": len(fam),
         "orderings_used": int(ids.size),
+        "density": graph.m / math.comb(n, 2),
     }
     return GeometricGraph(graph, points, info)
 

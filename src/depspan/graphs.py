@@ -9,7 +9,6 @@ which is how Euclidean graphs reuse this type.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -36,12 +35,13 @@ class RankGraph:
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         self.n = int(n)
-        edge_i = np.ascontiguousarray(edge_i, dtype=np.int32)
-        edge_j = np.ascontiguousarray(edge_j, dtype=np.int32)
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
         if not _validated:
-            edge_i, edge_j, weights = _canonicalize(n, edge_i, edge_j, weights)
+            edge_i, edge_j, weights = _canonicalize(
+                n, np.asarray(edge_i), np.asarray(edge_j), weights)
+        edge_i = np.ascontiguousarray(edge_i, dtype=np.int32)
+        edge_j = np.ascontiguousarray(edge_j, dtype=np.int32)
         for arr in (edge_i, edge_j, weights):
             if arr is not None:
                 arr.setflags(write=False)
@@ -53,13 +53,9 @@ class RankGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    weights: Iterable[float] | None = None) -> "RankGraph":
         pairs = list(edges)
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            ei, ej = arr[:, 0], arr[:, 1]
-        else:
-            ei = ej = np.zeros(0, dtype=np.int64)
+        arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
         w = None if weights is None else np.asarray(list(weights), dtype=np.float64)
-        return cls(n, ei, ej, w)
+        return cls(n, arr[:, 0], arr[:, 1], w)
 
     @property
     def m(self) -> int:
@@ -96,32 +92,53 @@ class RankGraph:
         return f"RankGraph(n={self.n}, m={self.m}{tag})"
 
 
+def _edge_keys(n, lo, hi):
+    """Keys lo*(n+1) + hi sort in canonical edge order; _key_edges decodes."""
+    return lo.astype(np.int64) * (n + 1) + hi
+
+
+def _key_edges(n, keys):
+    return (keys // (n + 1)).astype(np.int32), (keys % (n + 1)).astype(np.int32)
+
+
+def _run_starts(keys):
+    """Mask of the first entry of each run of equal sorted keys."""
+    first = np.ones(keys.shape[0], dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
+def _edge_union(n, edge_i, edge_j) -> RankGraph:
+    """Canonical RankGraph on trusted edges in either orientation, repeats
+    collapsed; sorts keys, as np.unique hashes int64 keys (far slower)."""
+    keys = _edge_keys(n, np.minimum(edge_i, edge_j), np.maximum(edge_i, edge_j))
+    keys.sort()
+    return RankGraph(n, *_key_edges(n, keys[_run_starts(keys)]), _validated=True)
+
+
 def _canonicalize(n, edge_i, edge_j, weights):
-    """Normalize to i < j, lexicographic order; reject bad edges."""
+    """Canonical i < j order; rejects bad edges before narrowing to int32."""
     if edge_i.shape != edge_j.shape:
         raise ValueError("edge arrays must have equal length")
-    if edge_i.size == 0:
-        return (np.zeros(0, np.int32), np.zeros(0, np.int32), weights)
+    if weights is not None and weights.shape[0] != edge_i.shape[0]:
+        raise ValueError("weight table must cover exactly the edge set")
     if np.any(edge_i == edge_j):
         raise ValueError("self-loops are not allowed")
-    lo = np.minimum(edge_i, edge_j)
-    hi = np.maximum(edge_i, edge_j)
-    if lo.min() < 1 or hi.max() > n:
+    lo, hi = np.minimum(edge_i, edge_j), np.maximum(edge_i, edge_j)
+    if lo.size and (lo.min() < 1 or hi.max() > n):
         raise ValueError(f"edge endpoint out of range [1, {n}]")
-    keys = lo.astype(np.int64) * (n + 1) + hi
+    keys = _edge_keys(n, lo, hi)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    if np.any(keys[1:] == keys[:-1]):
-        dup = int(np.flatnonzero(keys[1:] == keys[:-1])[0])
-        raise ValueError(
-            f"duplicate edge ({keys[dup] // (n + 1)}, {keys[dup] % (n + 1)})")
+    dup = keys[~_run_starts(keys)]
+    if dup.size:
+        i, j = divmod(int(dup[0]), n + 1)
+        raise ValueError(f"duplicate edge ({i}, {j})")
     if weights is not None:
-        if weights.shape[0] != lo.shape[0]:
-            raise ValueError("weight table must cover exactly the edge set")
         if np.any(~(weights > 0)):
             raise ValueError("edge weights must be positive")
         weights = weights[order]
-    return lo[order].astype(np.int32), hi[order].astype(np.int32), weights
+    return (*_key_edges(n, keys), weights)
 
 
 def complete_graph(n: int) -> RankGraph:
@@ -172,30 +189,16 @@ def graph_union(g1: RankGraph, g2: RankGraph) -> RankGraph:
     if (g1.weights is None) != (g2.weights is None):
         raise ValueError("cannot union a weighted graph with an unweighted one")
     n = g1.n
-    keys = np.concatenate([
-        g1.edge_i.astype(np.int64) * (n + 1) + g1.edge_j,
-        g2.edge_i.astype(np.int64) * (n + 1) + g2.edge_j,
-    ])
     if g1.weights is None:
-        uniq = np.unique(keys)
-        return RankGraph(n, (uniq // (n + 1)).astype(np.int32),
-                         (uniq % (n + 1)).astype(np.int32), _validated=True)
+        return _edge_union(n, np.concatenate([g1.edge_i, g2.edge_i]),
+                           np.concatenate([g1.edge_j, g2.edge_j]))
+    keys = np.concatenate([_edge_keys(n, g1.edge_i, g1.edge_j),
+                           _edge_keys(n, g2.edge_i, g2.edge_j)])
     weights = np.concatenate([g1.weights, g2.weights])
     order = np.argsort(keys, kind="stable")
     keys, weights = keys[order], weights[order]
-    same = keys[1:] == keys[:-1]
-    if np.any(same & (weights[1:] != weights[:-1])):
+    first = _run_starts(keys)
+    if np.any(~first[1:] & (weights[1:] != weights[:-1])):
         raise ValueError("weight tables disagree on a shared edge")
-    first = np.concatenate(([True], ~same))
-    keys, weights = keys[first], weights[first]
-    return RankGraph(n, (keys // (n + 1)).astype(np.int32),
-                     (keys % (n + 1)).astype(np.int32), weights, _validated=True)
-
-
-def expected_kept_edges(g: RankGraph, psi: float) -> float:
-    """Binomial mean of the surviving edge count under filter_edges."""
-    return psi * g.m
-
-
-def kept_edge_std(g: RankGraph, psi: float) -> float:
-    return math.sqrt(psi * (1.0 - psi) * g.m)
+    return RankGraph(n, *_key_edges(n, keys[first]), weights[first],
+                     _validated=True)

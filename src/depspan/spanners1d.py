@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RankGraph, interval_graph
+from .graphs import RankGraph, _edge_union, interval_graph
 from .rng import RandomStream, derive_stream
 
 __all__ = [
@@ -218,10 +218,7 @@ def _biclique(x_block, y_block) -> np.ndarray:
     ys, ye = y_block
     x = np.repeat(np.arange(xs, xe + 1, dtype=np.int64), ye - ys + 1)
     y = np.tile(np.arange(ys, ye + 1, dtype=np.int64), xe - xs + 1)
-    out = np.empty((x.size, 2), dtype=np.int64)
-    out[:, 0] = np.minimum(x, y)
-    out[:, 1] = np.maximum(x, y)
-    return out
+    return np.stack([x, y], axis=1)  # x_block precedes y_block in _assemble
 
 
 def _assemble(n: int, dp: DerivedParams, seed: int | None,
@@ -229,8 +226,7 @@ def _assemble(n: int, dp: DerivedParams, seed: int | None,
     """Interval graph plus the block hierarchy with biclique or connector
     cross edges; deduplicated."""
     base = interval_graph(n, dp.radius)
-    parts = [np.stack([base.edge_i.astype(np.int64),
-                       base.edge_j.astype(np.int64)], axis=1)]
+    parts = [np.stack([base.edge_i, base.edge_j], axis=1)]
     partition = block_partition(n, dp.block_size)
     nb = partition.count
     if nb >= 2:
@@ -243,9 +239,7 @@ def _assemble(n: int, dp: DerivedParams, seed: int | None,
                 stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
                 parts.append(bipartite_connector(x, y, dp.connector_rate, stream))
     allp = np.concatenate(parts, axis=0)
-    keys = np.unique(allp[:, 0] * (n + 1) + allp[:, 1])
-    return RankGraph(n, (keys // (n + 1)).astype(np.int32),
-                     (keys % (n + 1)).astype(np.int32), _validated=True)
+    return _edge_union(n, allp[:, 0], allp[:, 1])
 
 
 def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:

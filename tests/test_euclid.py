@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from depspan.euclid import (GeometricGraph, PointSet, bounded_hop_distance,
-                            bounded_hop_matrix, count_stretch_failures,
+from depspan.euclid import (GeometricGraph, PointSet, _spread_ids,
+                            bounded_hop_distance, bounded_hop_matrix,
+                            count_stretch_failures,
                             euclidean_dependable_spanner, extract_bounded_path,
                             four_hop_paths_resummed, normalize_points,
                             stretch_failure_mask)
 from depspan.graphs import RankGraph, filter_edges
-from depspan.rng import derive_stream
+from depspan.lso import build_lso_family
+from depspan.rng import derive_seed, derive_stream
+from depspan.spanners1d import four_hop_spanner
 
 
 def _pointset(n, d, seed=0):
@@ -213,3 +216,21 @@ def test_stretch_failures_monotone_under_edge_removal():
     f_full = stretch_failure_mask(full, 0.25, 4)
     f_sparse = stretch_failure_mask(sparse, 0.25, 4)
     assert (f_full <= f_sparse).all()
+
+
+def test_spanner_union_recount():
+    # independent recount: each ordering's rank edges mapped to point pairs,
+    # unioned with a plain python set
+    n, eps, psi, seed = 256, 0.25, 1.0, 5
+    pts = _pointset(n, 2, seed=5)
+    h = euclidean_dependable_spanner(pts, eps, psi, seed=seed, max_orderings=4)
+    fam = build_lso_family(eps / 8.0, 2)
+    edges = set()
+    for oid in _spread_ids(len(fam), 4).tolist():
+        order = fam.sort_indices(fam.ordering(oid), pts.coords).tolist()
+        sub = four_hop_spanner(n, psi, seed=derive_seed(seed, oid))
+        for i, j in sub.edge_set():
+            u, v = order[i - 1] + 1, order[j - 1] + 1
+            edges.add((min(u, v), max(u, v)))
+    assert h.graph.edge_set() == edges
+    assert h.info["density"] == len(edges) / math.comb(n, 2) < 1.0

@@ -45,10 +45,15 @@ def test_edges_canonicalized():
     ([(0, 2)], "out of range"),
     ([(2, 6)], "out of range"),
     ([(1, 2), (2, 1)], "duplicate"),
+    ([(1, 2**32 + 3)], "out of range"),  # (1, 3) after int32 wraparound
+    ((np.array([1]), np.array([2**32 + 2])), "out of range"),
 ])
 def test_bad_edges_rejected(edges, err):
     with pytest.raises(ValueError, match=err):
-        RankGraph.from_edges(5, edges)
+        if isinstance(edges, tuple):
+            RankGraph(5, *edges)
+        else:
+            RankGraph.from_edges(5, edges)
 
 
 def test_weight_table_must_match_edges():
@@ -56,6 +61,8 @@ def test_weight_table_must_match_edges():
         RankGraph.from_edges(3, [(1, 2)], weights=[1.0, 2.0])
     with pytest.raises(ValueError):
         RankGraph.from_edges(3, [(1, 2)], weights=[0.0])
+    with pytest.raises(ValueError, match="cover exactly"):
+        RankGraph(3, [], [], [1.0, 2.0])
 
 
 def test_graphs_are_immutable():

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from depspan.graphs import RankGraph, filter_edges, interval_graph
+from depspan.euclid import PointSet, euclidean_dependable_spanner
+from depspan.fileio import edge_list_text
+from depspan.graphs import RankGraph, filter_edges, graph_union, interval_graph
 from depspan.reach import deficiency, khop_deficiency, straight_hops
 from depspan.rng import derive_stream
 from depspan.spanners1d import (BlockPartition, DerivedParams, SpannerParams,
@@ -192,6 +195,30 @@ def test_biclique_block_spanner_recount():
     g = biclique_block_spanner(n, psi, c7)
     assert g.m == len(edges)
     assert g.edge_set() == edges
+
+
+def test_edge_lists_match_golden_hashes():
+    # SHA-256 of edge_list_text for fixed-seed builds; pins edge order, dedup
+    # and weights across versions (C13 only compares two runs of one version)
+    band = RankGraph.from_edges(300, [(i, i + d) for i in range(1, 301)
+                                      for d in (5, 10) if i + d <= 300])
+    points = PointSet(np.random.default_rng(7).random((128, 2)) * 0.999)
+    builds = {
+        "four-hop": (lambda: four_hop_spanner(2048, 0.5, seed=1301),
+                     "cce0cfc06b15c26339d27c998ab0a3bd04a440ecdd517af21a14410079ca28fe"),
+        "k-hop": (lambda: khop_spanner(1024, 0.5, 6, seed=3),
+                  "fd1c29192da6a3984c3ea3cb35150678a9dd958ec37a275a66a36ad57ad2fef6"),
+        "biclique": (lambda: biclique_block_spanner(512, 0.35, 2.0),
+                     "fd188a5798a9e12e77863c5201d11fd472fe95625fbac343b4b888a1ee28fef4"),
+        "union": (lambda: graph_union(interval_graph(300, 7), band),
+                  "6631366672155b1d4e4b4e66582b4c0b860cf28ae49d2fc36678b99d0900be49"),
+        "euclid": (lambda: euclidean_dependable_spanner(
+                       points, 0.25, 0.5, seed=3, max_orderings=32).graph,
+                   "f8d69c4e7872dda7ba15d14e73f78d4d5332cccfa1268f066403f164e1f85f6a"),
+    }
+    for name, (build, expected) in builds.items():
+        digest = hashlib.sha256(edge_list_text(build()).encode()).hexdigest()
+        assert digest == expected, name
 
 
 def test_four_hop_spanner_contains_interval_and_is_exact():
