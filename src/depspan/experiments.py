@@ -9,11 +9,10 @@ reproduces the CSV byte for byte regardless of thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import complete_graph, filter_edges, interval_graph
-from .reach import (DeficiencyReport, expected_two_hop_deficiency,
+from .reach import (DeficiencyReport, _map_trials, expected_two_hop_deficiency,
                     khop_deficiency_split, monte_carlo_deficiency)
 from .rng import derive_seed, derive_stream
 from .spanners1d import (DerivedParams, dependable_interval_spanner,
@@ -66,6 +65,11 @@ class ExperimentConfig:
             raise ValueError("hop bound must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.source_samples is not None:
+            if self.source_samples < 1:
+                raise ValueError("source samples must be >= 1")
+            if self.hops is not None:
+                raise ValueError("source sampling needs unbounded hops")
         if any(k < 3 for k in self.ks):
             raise ValueError("hop budgets must be >= 3")
 
@@ -215,11 +219,7 @@ def experiment_hop_survival(cfg: ExperimentConfig):
             h = filter_edges(g, psi, derive_stream(mc_seed, t))
             return khop_deficiency_split(h, k, dp.radius)
 
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                splits = list(pool.map(run, range(cfg.trials)))
-        else:
-            splits = [run(t) for t in range(cfg.trials)]
+        splits = _map_trials(run, cfg.trials, cfg.jobs)
         totals = [s + l for s, l in splits]
         rep = DeficiencyReport.from_counts(n, psi, k, mc_seed, totals)
         reference = n / (psi * psi)

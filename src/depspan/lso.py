@@ -64,10 +64,6 @@ class Ordering:
     path: int          # Walecki path index, or -1 for the identity cell order
 
     @property
-    def shift_vector(self) -> tuple:
-        return (self.shift_index / self.shift_count,) * self.dim
-
-    @property
     def levels(self) -> int:
         # level 0 covers the `offset` bits above the first full digit boundary
         h = self.grid.bit_length() - 1

@@ -4,13 +4,15 @@ A straight path is a path whose vertex ranks strictly increase, so the edges
 of a RankGraph form a DAG when oriented low-to-high and reachability is a
 single forward sweep. Two exact engines back the pair counts:
 
-* unbounded reachability: a bitset closure, one row of bits per target vertex,
-  filled in one ascending pass (row j ORs the rows of its in-neighbors);
-* hop-bounded reachability: boolean matrix powers evaluated as float32 BLAS
-  matmuls for n <= 8192, and a level-by-level bitset sweep above that.
+* unbounded reachability: a bitset closure over a set of sources (all n, or a
+  sample), one row of source bits per target vertex, filled in one ascending
+  pass (row j ORs the rows of its in-neighbors);
+* hop-bounded reachability: boolean powers of I + A, stored as the upper
+  triangle of square float32 tiles and multiplied tile by tile with BLAS,
+  for every n. Memory is about 3 * (n^2 / 2) * 4 bytes plus one tile product.
 
-Both count exactly the same quantity; the test suite cross-checks them against
-each other and against brute-force path enumeration on small graphs.
+The test suite cross-checks both against brute-force path enumeration on
+small graphs, the hop-bounded engine also at tile sizes far below n.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ __all__ = [
     "monte_carlo_deficiency",
 ]
 
-# Above this vertex count the dense matmul engine would need multi-GB matrices.
-_MATMUL_MAX_N = 8192
+# Edge length of the square tiles of the hop-bounded engine (clamped to n).
+_TILE = 512
 
 _ONE = np.uint64(1)
 
@@ -96,123 +98,113 @@ def straight_hops(g: RankGraph, source: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bitset closure engine (all sources at once)
+# bitset closure engine (a set of sources at once)
 
-def _self_bit_rows(n: int) -> np.ndarray:
-    words = (n + 63) >> 6
-    rows = np.zeros((n + 1, words), dtype=np.uint64)
-    idx = np.arange(1, n + 1)
-    rows[idx, (idx - 1) >> 6] = _ONE << ((idx - 1) & 63).astype(np.uint64)
-    return rows
+def _closure_reachable_pairs(n: int, ei: np.ndarray, ej: np.ndarray,
+                             sources: np.ndarray) -> int:
+    """Number of pairs (src, j), src in the sorted `sources`, joined by a
+    straight path src < ... < j.
 
-
-def _closure_reachable_pairs(n: int, ik: np.ndarray, jk: np.ndarray) -> int:
-    """Number of pairs i < j joined by a straight path.
-
-    ik/jk must be sorted by jk. Row j of the bit matrix holds the sources that
-    reach j; rows are final once written because in-neighbors precede j.
+    Row j of the bit matrix holds the sources that reach j, one bit per
+    source; rows are final once written because in-neighbors precede j.
     """
-    rows = _self_bit_rows(n)
-    counts = np.bincount(jk, minlength=n + 2)
-    hi = np.cumsum(counts)
-    lo = hi - counts
-    for j in range(2, n + 1):
+    s = sources.size
+    rows = np.zeros((n + 1, (s + 63) >> 6), dtype=np.uint64)
+    bit = np.arange(s)
+    rows[sources, bit >> 6] = _ONE << (bit & 63).astype(np.uint64)
+    ik, lo, hi = _in_neighbor_slices(n, ei, ej)
+    for j in range(int(sources[0]) + 1, n + 1):
         a, b = lo[j], hi[j]
         if b > a:
             rows[j] |= np.bitwise_or.reduce(rows[ik[a:b]], axis=0)
-    return int(np.bitwise_count(rows[1:]).sum()) - n
+    return int(np.bitwise_count(rows[1:]).sum()) - s
 
 
 def deficiency(g: RankGraph) -> int:
     """Number of pairs i < j with no straight path in g."""
-    order = np.argsort(g.edge_j, kind="stable")
-    reachable = _closure_reachable_pairs(g.n, g.edge_i[order], g.edge_j[order])
+    everyone = np.arange(1, g.n + 1)
+    reachable = _closure_reachable_pairs(g.n, g.edge_i, g.edge_j, everyone)
     return g.n * (g.n - 1) // 2 - reachable
 
 
 # ---------------------------------------------------------------------------
-# hop-bounded engines
+# hop-bounded engine: blocked upper-triangular boolean matrix powers
 
-def _bool_mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x @ y > 0).astype(np.float32)
+class _UpperTiles:
+    """The upper triangle of an n x n float32 matrix as square tiles (I, J),
+    I <= J, of edge `tile` (the last row and column of tiles are ragged),
+    packed into one flat buffer; tiles[I, J] is a view of it."""
+
+    def __init__(self, n: int, tile: int):
+        self.n, self.tile = n, tile
+        sizes = [min(tile, n - a) for a in range(0, n, tile)]
+        self.buf = np.zeros((n * n + sum(h * h for h in sizes)) // 2,
+                            dtype=np.float32)
+        self.offset = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
+        self.tiles = {}
+        at = 0
+        for I, h in enumerate(sizes):
+            for J in range(I, len(sizes)):
+                w = sizes[J]
+                self.offset[I, J] = at
+                self.tiles[I, J] = self.buf[at:at + h * w].reshape(h, w)
+                at += h * w
+
+    def scatter(self, r: np.ndarray, c: np.ndarray) -> None:
+        """Set the entries (r, c), 0-based with r <= c, to one."""
+        ti, tj = r // self.tile, c // self.tile
+        width = np.minimum(self.tile, self.n - tj * self.tile)
+        local = (r - ti * self.tile) * width + (c - tj * self.tile)
+        self.buf[self.offset[ti, tj] + local] = 1.0
+
+    def __matmul__(self, other: "_UpperTiles") -> "_UpperTiles":
+        """Boolean product: Z[I, J] = (sum_{K=I..J} X[I, K] @ Y[K, J]) > 0."""
+        z = _UpperTiles(self.n, self.tile)
+        for (I, J), out in z.tiles.items():
+            np.matmul(self.tiles[I, I], other.tiles[I, J], out=out)
+            for K in range(I + 1, J + 1):
+                out += self.tiles[I, K] @ other.tiles[K, J]
+            np.minimum(out, 1.0, out=out)  # entries are path counts >= 0
+        return z
+
+    def zeros_beyond(self, d: int) -> int:
+        """Number of zero entries (i, j) with j - i > d >= 0 (0-based)."""
+        # in tile (I, J), entry (a, b) has j - i = b - a + (J - I) * tile
+        return int(sum(
+            np.count_nonzero(np.triu(t == 0, d + 1 - (J - I) * self.tile))
+            for (I, J), t in self.tiles.items()))
 
 
-def _khop_matmul(n: int, ei: np.ndarray, ej: np.ndarray, k: int,
-                 split_radius: int | None):
-    """(total failures, long failures) via boolean powers of I + A.
+def _khop_power(n: int, ei: np.ndarray, ej: np.ndarray, k: int) -> _UpperTiles:
+    """(I + A)^k as a boolean matrix, for the edges (ei, ej) of a graph on n.
 
-    A is strictly upper triangular, so all matrix powers stay upper triangular
-    and a zero entry above the diagonal is exactly a missing <=k-hop path.
+    A is strictly upper triangular, so every power of I + A is upper
+    triangular and a zero entry above the diagonal is exactly a missing
+    <=k-hop path. Only the tiles (I, J) with I <= J are stored and only the
+    products X[I, K] @ Y[K, J] with I <= K <= J are formed. Square-and-multiply
+    holds at most three such matrices, so memory is about 3 * (n^2 / 2) * 4
+    bytes plus one tile product; no dense n x n matrix is allocated.
     """
-    base = np.zeros((n, n), dtype=np.float32)
-    base[ei - 1, ej - 1] = 1.0
-    np.fill_diagonal(base, 1.0)
+    power = _UpperTiles(n, min(_TILE, n))
+    diag = np.arange(n)
+    power.scatter(diag, diag)
+    power.scatter(ei - 1, ej - 1)
     result = None
-    power = base
     kk = min(k, max(1, n - 1))  # longer straight paths cannot exist
     while True:
         if kk & 1:
-            result = power if result is None else _bool_mm(result, power)
+            result = power if result is None else result @ power
         kk >>= 1
         if kk == 0:
-            break
-        power = _bool_mm(power, power)
-    below_diag = n * (n - 1) // 2
-    total_fail = int(np.count_nonzero(result == 0)) - below_diag
-    if split_radius is None:
-        return total_fail, None
-    zcum = np.cumsum(result == 0, axis=1, dtype=np.int32)
-    rows = np.arange(0, n - split_radius - 1)
-    if rows.size == 0:
-        return total_fail, 0
-    # zeros in row i among columns j with j - i > split_radius (0-based)
-    long_fail = int((zcum[rows, n - 1] - zcum[rows, rows + split_radius]).sum())
-    return total_fail, long_fail
-
-
-def _khop_bits(n: int, ik: np.ndarray, jk: np.ndarray, k: int,
-               split_radius: int | None):
-    """Level-by-level bitset sweep; ik/jk must be sorted by jk."""
-    base = _self_bit_rows(n)
-    rows = base
-    if ik.size:
-        ju, starts = np.unique(jk, return_index=True)
-        for _ in range(min(k, max(1, n - 1))):
-            nxt = base.copy()
-            red = np.bitwise_or.reduceat(rows[ik], starts, axis=0)
-            nxt[ju] |= red
-            rows = nxt
-    reachable = int(np.bitwise_count(rows[1:]).sum()) - n
-    total_fail = n * (n - 1) // 2 - reachable
-    if split_radius is None:
-        return total_fail, None
-    long_reached = 0
-    words = rows.shape[1]
-    word_idx = np.arange(words, dtype=np.int64)
-    full = ~np.uint64(0)
-    for j in range(split_radius + 2, n + 1):
-        c = j - split_radius - 1  # ranks 1..c are long sources for j
-        nbits = np.clip(c - word_idx * 64, 0, 64)
-        capped = np.minimum(nbits, 63).astype(np.uint64)
-        mask = np.where(nbits >= 64, full, (_ONE << capped) - _ONE)
-        long_reached += int(np.bitwise_count(rows[j] & mask).sum())
-    long_total = sum(max(0, n - d) for d in range(split_radius + 1, n))
-    return total_fail, long_total - long_reached
-
-
-def _khop_counts(n, ei, ej, k, split_radius):
-    if n <= _MATMUL_MAX_N:
-        return _khop_matmul(n, ei, ej, k, split_radius)
-    order = np.argsort(ej, kind="stable")
-    return _khop_bits(n, ei[order], ej[order], k, split_radius)
+            return result
+        power = power @ power
 
 
 def khop_deficiency(g: RankGraph, k: int) -> int:
     """Number of pairs i < j whose minimum straight hop count exceeds k."""
     if k < 1:
         raise ValueError(f"hop bound must be >= 1, got {k}")
-    total, _ = _khop_counts(g.n, g.edge_i, g.edge_j, k, None)
-    return total
+    return _khop_power(g.n, g.edge_i, g.edge_j, k).zeros_beyond(0)
 
 
 def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
@@ -222,8 +214,9 @@ def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
         raise ValueError(f"hop bound must be >= 1, got {k}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    total, long_fail = _khop_counts(g.n, g.edge_i, g.edge_j, k, radius)
-    return total - long_fail, long_fail
+    power = _khop_power(g.n, g.edge_i, g.edge_j, k)
+    long_fail = power.zeros_beyond(radius)
+    return power.zeros_beyond(0) - long_fail, long_fail
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +281,19 @@ class DeficiencyReport:
                 f"{self.mean_failed_pairs:.12g},{self.stderr:.12g},{self.seed}")
 
 
-def _trial_count(n, ib, jb, keep_byj, hop_bound, source_sample, stream):
-    ik = ib[keep_byj]
-    jk = jb[keep_byj]
-    if hop_bound is not None:
-        total, _ = _khop_counts(n, ik, jk, hop_bound, None)
-        return total
-    if source_sample is not None and source_sample < n:
-        return _sampled_deficiency(n, ik, jk, source_sample, stream)
-    return n * (n - 1) // 2 - _closure_reachable_pairs(n, ik, jk)
+def _map_trials(fn, trials: int, jobs: int) -> list:
+    """[fn(0), ..., fn(trials - 1)], fanned out over `jobs` threads.
 
-
-def _sampled_deficiency(n, ik, jk, s, stream):
-    """Unbiased estimate from s sampled sources, scaled by n/s."""
-    counts = np.bincount(jk, minlength=n + 2)
-    hi = np.cumsum(counts)
-    lo = hi - counts
-    sources = np.sort(stream.choice_without_replacement(n, s) + 1)
-    missing = 0
-    for src in sources:
-        seen = np.zeros(n + 1, dtype=bool)
-        seen[src] = True
-        reached = 0
-        for j in range(src + 1, n + 1):
-            nb = ik[lo[j]:hi[j]]
-            if nb.size and seen[nb].any():
-                seen[j] = True
-                reached += 1
-        missing += (n - src) - reached
-    return missing * n / s
+    Threads, not processes: the closure loop holds the GIL and BLAS already
+    runs threaded, so fan-out buys little either way, and the result never
+    depends on `jobs`.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return [fn(t) for t in range(trials)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, range(trials)))
 
 
 def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
@@ -327,8 +304,10 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
 
     Trial t filters g with derive_stream(master, t) (bit-identical to calling
     filter_edges with that stream) and counts failed pairs, exactly unless
-    source_sample is given. The report is a pure function of the arguments;
-    jobs only controls thread fan-out, never the result.
+    source_sample < n: then the same stream draws that many sources and the
+    count over them is scaled by n / source_sample (unbiased). The report is
+    a pure function of the arguments; jobs only controls thread fan-out,
+    never the result.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -336,19 +315,29 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
         raise ValueError(f"survival probability must be in [0, 1], got {psi}")
     if hop_bound is not None and hop_bound < 1:
         raise ValueError(f"hop bound must be >= 1, got {hop_bound}")
+    if source_sample is not None:
+        if source_sample < 1:
+            raise ValueError(f"source sample must be >= 1, got {source_sample}")
+        if hop_bound is not None:
+            raise ValueError("source sampling needs unbounded hops; "
+                             "hop-bounded counts are always exact")
+    n = g.n
+    sampled = source_sample is not None and source_sample < n
+    # edges pre-sorted by upper endpoint, so each trial's regrouping is linear
     order = np.argsort(g.edge_j, kind="stable")
-    ib = g.edge_i[order]
-    jb = g.edge_j[order]
+    ib, jb = g.edge_i[order], g.edge_j[order]
 
     def run(t: int):
         stream = derive_stream(master, t)
-        keep = stream.uniforms(g.m) < psi
-        return _trial_count(g.n, ib, jb, keep[order], hop_bound,
-                            source_sample, stream)
+        keep = (stream.uniforms(g.m) < psi)[order]
+        ik, jk = ib[keep], jb[keep]
+        if hop_bound is not None:
+            return _khop_power(n, ik, jk, hop_bound).zeros_beyond(0)
+        sources = (np.sort(stream.choice_without_replacement(n, source_sample) + 1)
+                   if sampled else np.arange(1, n + 1))
+        missing = (int((n - sources).sum())
+                   - _closure_reachable_pairs(n, ik, jk, sources))
+        return missing * n / source_sample if sampled else missing
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(run, range(trials)))
-    else:
-        counts = [run(t) for t in range(trials)]
-    return DeficiencyReport.from_counts(g.n, psi, hop_bound, master, counts)
+    counts = _map_trials(run, trials, jobs)
+    return DeficiencyReport.from_counts(n, psi, hop_bound, master, counts)

@@ -62,6 +62,12 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert "error" in err
     code, _, err = run(capsys, "deficiency", "--graph", str(tmp_path / "nope"))
     assert code == 2
+    for bad in (["--source-samples", "0"], ["--source-samples", "-3"],
+                ["--source-samples", "4", "--hops", "2"], ["--jobs", "0"],
+                ["--jobs", "-1"]):
+        code, _, err = run(capsys, "deficiency", "--graph", str(g),
+                           "--psi", "0.5", "--trials", "2", *bad)
+        assert code == 2 and "error" in err, bad
 
 
 def test_build_euclid_and_verify_stretch(tmp_path, capsys):

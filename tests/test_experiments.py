@@ -23,6 +23,11 @@ def test_config_validation():
         _cfg(ks=(2,))
     with pytest.raises(ValueError):
         _cfg(jobs=0)
+    for s in (0, -3):
+        with pytest.raises(ValueError, match="source samples"):
+            _cfg(source_samples=s)
+    with pytest.raises(ValueError, match="source sampling"):
+        _cfg(source_samples=8, hops=2)
 
 
 def test_csv_is_deterministic_and_thread_invariant():

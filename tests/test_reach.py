@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import depspan.reach as reach
 from conftest import all_edge_subsets, brute_deficiency, random_edge_subset
 from depspan.graphs import RankGraph, complete_graph, filter_edges, interval_graph
 from depspan.reach import (DeficiencyReport, deficiency,
                            expected_two_hop_deficiency, khop_deficiency,
                            khop_deficiency_split, monte_carlo_deficiency,
                            no_two_hop_probability, straight_hops,
-                           straight_reachable, _khop_bits, _khop_matmul)
+                           straight_reachable)
 from depspan.rng import derive_stream
 
 
@@ -93,7 +94,13 @@ def test_khop_matches_brute_force_exhaustive_n4():
             assert khop_deficiency(g, k) == brute_deficiency(4, edges, k)
 
 
-def test_khop_engines_agree_with_brute_force_sampled(np_rng):
+# Tile edges for the blocked k-hop engine: the default (one tile at these
+# sizes), and small ones whose last tiles are ragged and whose split masks
+# cross tile borders.
+_TILES = (reach._TILE, 4, 7)
+
+
+def test_khop_engines_agree_with_brute_force_sampled(np_rng, monkeypatch):
     for n in (6, 7):
         for _ in range(40):
             edges = random_edge_subset(n, np_rng)
@@ -101,27 +108,42 @@ def test_khop_engines_agree_with_brute_force_sampled(np_rng):
             assert deficiency(g) == brute_deficiency(n, edges)
             for k in (1, 2, 4):
                 expected = brute_deficiency(n, edges, k)
-                assert khop_deficiency(g, k) == expected
-                order = np.argsort(g.edge_j, kind="stable")
-                bits_total, _ = _khop_bits(n, g.edge_i[order], g.edge_j[order],
-                                           k, None)
-                mm_total, _ = _khop_matmul(n, g.edge_i, g.edge_j, k, None)
-                assert bits_total == mm_total == expected
+                for tile in _TILES:
+                    monkeypatch.setattr(reach, "_TILE", tile)
+                    assert khop_deficiency(g, k) == expected
 
 
-def test_khop_split_engines_agree(np_rng):
+def test_khop_split_engines_agree(np_rng, monkeypatch):
     g = filter_edges(interval_graph(60, 9), 0.5, derive_stream(5, 0))
     for k in (2, 4):
-        for radius in (5, 9, 20):
-            short, long_ = khop_deficiency_split(g, k, radius)
-            order = np.argsort(g.edge_j, kind="stable")
-            bt, bl = _khop_bits(g.n, g.edge_i[order], g.edge_j[order], k, radius)
-            assert (short + long_, long_) == (bt, bl)
-            assert short + long_ == khop_deficiency(g, k)
+        for radius in (0, 5, 9, 20, 59):
             brute_long = sum(
                 1 for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
                 if j - i > radius and straight_hops(g, i)[j] > k)
-            assert long_ == brute_long
+            brute_total = sum(
+                1 for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
+                if straight_hops(g, i)[j] > k)
+            for tile in _TILES:
+                monkeypatch.setattr(reach, "_TILE", tile)
+                short, long_ = khop_deficiency_split(g, k, radius)
+                assert (short + long_, long_) == (brute_total, brute_long)
+                assert short + long_ == khop_deficiency(g, k)
+
+
+def test_khop_edge_cases(monkeypatch):
+    for tile in _TILES:
+        monkeypatch.setattr(reach, "_TILE", tile)
+        one = RankGraph.from_edges(1, [])
+        assert khop_deficiency(one, 1) == 0
+        assert khop_deficiency_split(one, 3, 0) == (0, 0)
+        assert khop_deficiency(RankGraph.from_edges(2, []), 1) == 1
+        assert khop_deficiency_split(RankGraph.from_edges(2, []), 2, 0) == (0, 1)
+        path = interval_graph(9, 1)
+        for k in (8, 9, 50):  # k >= n - 1: the unbounded count
+            assert khop_deficiency(path, k) == deficiency(path) == 0
+        sparse = RankGraph.from_edges(9, [(1, 5), (5, 9), (2, 3)])
+        for k in (9, 20):
+            assert khop_deficiency(sparse, k) == deficiency(sparse) == 32
 
 
 def test_khop_monotone_in_k_and_matches_unbounded(np_rng):
@@ -200,13 +222,41 @@ def test_monte_carlo_deterministic_and_thread_invariant():
     assert a == b
 
 
+def _sampled_recount(g, psi, trials, master, s):
+    """Per-trial estimates rebuilt from the same streams: filter, draw the
+    sorted source sample, sum per-source misses, scale by n/s."""
+    counts = []
+    for t in range(trials):
+        stream = derive_stream(master, t)
+        h = filter_edges(g, psi, stream)
+        sources = np.sort(stream.choice_without_replacement(g.n, s) + 1)
+        missing = sum((g.n - int(src))
+                      - int(straight_reachable(h, int(src))[src + 1:].sum())
+                      for src in sources)
+        counts.append(missing * g.n / s)
+    return counts
+
+
 def test_monte_carlo_source_sampling_runs():
-    g = complete_graph(64)
-    full = monte_carlo_deficiency(g, 0.3, 4, master=5)
-    sampled = monte_carlo_deficiency(g, 0.3, 4, master=5, source_sample=16)
-    assert sampled.trials == 4
-    # unbiased estimator, loose sanity band only
-    assert 0 <= sampled.mean_failed_pairs <= g.n * (g.n - 1) / 2 * 2
+    # Golden per-trial estimates recorded before the sampled path was folded
+    # into the closure engine; the estimator's output must not change.
+    cases = [
+        (complete_graph(64), 0.3, 4, 5, 16, [380.0, 284.0, 244.0, 276.0]),
+        (interval_graph(150, 10), 0.5, 3, 11, 20, [202.5, 262.5, 225.0]),
+    ]
+    for g, psi, trials, master, s, golden in cases:
+        rep = monte_carlo_deficiency(g, psi, trials, master=master,
+                                     source_sample=s)
+        assert list(rep.per_trial_counts) == golden
+        assert _sampled_recount(g, psi, trials, master, s) == golden
+
+
+def test_monte_carlo_source_sample_of_n_is_exact():
+    g = interval_graph(40, 5)
+    exact = monte_carlo_deficiency(g, 0.5, 3, master=2)
+    for s in (40, 41):
+        assert monte_carlo_deficiency(g, 0.5, 3, master=2,
+                                      source_sample=s) == exact
 
 
 def test_monte_carlo_validation():
@@ -217,6 +267,14 @@ def test_monte_carlo_validation():
         monte_carlo_deficiency(g, 0.5, 3, hop_bound=0)
     with pytest.raises(ValueError):
         monte_carlo_deficiency(g, 1.5, 3)
+    for s in (0, -3):
+        with pytest.raises(ValueError, match="source sample"):
+            monte_carlo_deficiency(g, 0.5, 3, source_sample=s)
+    with pytest.raises(ValueError, match="source sampling"):
+        monte_carlo_deficiency(g, 0.5, 3, hop_bound=2, source_sample=2)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            monte_carlo_deficiency(g, 0.5, 3, jobs=jobs)
 
 
 def test_report_invariants_and_csv():
