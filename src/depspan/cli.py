@@ -103,6 +103,10 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_deficiency(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    if args.psi is None and args.source_samples is not None:
+        raise ValueError("--source-samples needs --psi")
     g = read_edge_list(args.graph)
     if args.psi is None:
         count = (deficiency(g) if args.hops is None

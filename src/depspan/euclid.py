@@ -49,7 +49,7 @@ class PointSet:
             raise ValueError("need at least two points")
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
-        if coords.size and (coords.min() < 0.0 or coords.max() >= 1.0):
+        if not np.all((coords >= 0.0) & (coords < 1.0)):
             raise ValueError("coordinates must lie in [0, 1)")
         _reject_duplicates(coords)
         coords.setflags(write=False)
@@ -93,6 +93,8 @@ def normalize_points(raw) -> PointSet:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need an (n, d) array with n >= 2")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coordinates must be finite")
     mins = arr.min(axis=0)
     extent = float((arr.max(axis=0) - mins).max())
     if extent == 0.0:

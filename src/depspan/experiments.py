@@ -38,7 +38,6 @@ class ExperimentConfig:
     ns: tuple = ()
     psis: tuple = ()
     ks: tuple = (4,)
-    epss: tuple = ()
     trials: int = 100
     seed: int = 0
     hops: int | None = None
@@ -70,6 +69,11 @@ class ExperimentConfig:
                 raise ValueError("source samples must be >= 1")
             if self.hops is not None:
                 raise ValueError("source sampling needs unbounded hops")
+        if self.name != "clique-scaling":
+            for field in ("hops", "source_samples"):
+                if getattr(self, field) is not None:
+                    raise ValueError(f"{field} applies only to clique-scaling, "
+                                     f"not {self.name}")
         if any(k < 3 for k in self.ks):
             raise ValueError("hop budgets must be >= 3")
 

@@ -1,37 +1,65 @@
-"""Text formats for graphs and point sets.
-
-Edge-list format: line 1 is "n m"; then m lines "i j" (rank graphs) or
-"i j w" (weighted), 1-based, i < j, ASCII decimal, LF line endings. Parsers
-reject malformed headers, out-of-range or reordered endpoints, and duplicate
-edges, naming the offending line.
-
-Point format: line 1 is "n d"; then n lines of d decimal coordinates (raw
-input units; normalization happens separately so that emit(parse(f)) == f).
+"""Text formats for graphs and point sets, ASCII decimal: "n m", then m
+lines "i j" (rank graphs) or "i j w" (weighted), 1-based, i < j; or "n d",
+then n lines of d raw coordinates (normalized elsewhere, so that
+emit(parse(f)) == f). LF ends a line, other whitespace (CR included) splits
+tokens, blank lines are skipped, and errors name the physical line. Checks
+any RankGraph needs (duplicates, finite positive weights) are its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import RankGraph
+from .graphs import RankGraph, _EdgeError
 
-__all__ = [
-    "FormatError",
-    "read_edge_list",
-    "write_edge_list",
-    "edge_list_text",
-    "read_points",
-    "write_points",
-    "points_text",
-]
+__all__ = ["FormatError", "read_edge_list", "write_edge_list",
+           "edge_list_text", "read_points", "write_points", "points_text"]
+
+_SPACE = np.array([chr(c).isspace() for c in range(128)])  # as str.split()
 
 
 class FormatError(ValueError):
     """Malformed graph or point file; message carries the line number."""
 
 
-def _fail(lineno: int, msg: str):
+def _fail(lineno: int, msg: str, text: str | None = None):
+    """Raise for a physical line; with text, quote that line."""
+    if text is not None:
+        msg += ", got " + repr(text.split("\n", lineno)[lineno - 1].rstrip("\r"))
     raise FormatError(f"line {lineno}: {msg}")
+
+
+def _table(text: str, header: str):
+    """(a, b, lines, counts, tokens): the two header integers, the physical
+    line number and token count of each non-blank body line, and the body
+    tokens in file order. Counts come from a byte scan that splits exactly
+    where str.split() does, LF alone ending a line."""
+    if not text:
+        raise FormatError("line 1: missing header")
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = np.concatenate(([True], _SPACE[raw]))  # a token starts after space
+    starts = np.flatnonzero(space[:-1] & ~space[1:])
+    bounds = np.concatenate(([0], np.flatnonzero(raw == 10) + 1, [raw.size]))
+    per_line = np.diff(np.searchsorted(starts, bounds))
+    tokens = text.split()
+    try:
+        a, b = map(int, tokens[:per_line[0]])
+    except ValueError:
+        _fail(1, f"header must be two integers '{header}'", text)
+    body = np.flatnonzero(per_line[1:]) + 1
+    return a, b, body + 1, per_line[body], tokens[2:]
+
+
+def _column(text, lines, tokens, width, convert, dtype, what) -> np.ndarray:
+    """Bulk conversion; on failure, names the first rejected token's line."""
+    try:
+        return np.fromiter(map(convert, tokens), dtype, len(tokens))
+    except (ValueError, OverflowError):
+        for idx, tok in enumerate(tokens):
+            try:
+                np.array(convert(tok), dtype)
+            except (ValueError, OverflowError):
+                _fail(lines[idx // width], what, text)
 
 
 def read_edge_list(path) -> RankGraph:
@@ -40,55 +68,32 @@ def read_edge_list(path) -> RankGraph:
 
 
 def parse_edge_list(text: str) -> RankGraph:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("line 1: missing header")
-    head = lines[0].split()
-    if len(head) != 2:
-        _fail(1, f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        _fail(1, f"header must be two integers, got {lines[0]!r}")
+    n, m, lines, counts, tokens = _table(text, "n m")
     if n < 1:
         _fail(1, f"vertex count must be >= 1, got {n}")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != m:
-        raise FormatError(f"header promises {m} edges, file has {len(body)}")
-    ei = np.empty(m, dtype=np.int32)
-    ej = np.empty(m, dtype=np.int32)
+    if lines.size != m:
+        raise FormatError(f"header promises {m} edges, file has {lines.size}")
+    width = counts[0] if m else 2
+    bad = np.flatnonzero((counts != width) | (counts < 2) | (counts > 3))
+    if bad.size:
+        if counts[bad[0]] in (2, 3):
+            _fail(lines[bad[0]], "mixed weighted and unweighted edge lines")
+        _fail(lines[bad[0]], "expected 'i j' or 'i j w'", text)
     weights = None
-    seen = set()
-    for idx, ln in enumerate(body):
-        lineno = idx + 2
-        parts = ln.split()
-        if len(parts) not in (2, 3):
-            _fail(lineno, f"expected 'i j' or 'i j w', got {ln!r}")
-        if weights is None and len(parts) == 3:
-            if idx != 0:
-                _fail(lineno, "mixed weighted and unweighted edge lines")
-            weights = np.empty(m, dtype=np.float64)
-        if weights is not None and len(parts) == 2:
-            _fail(lineno, "mixed weighted and unweighted edge lines")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            _fail(lineno, f"endpoints must be integers, got {ln!r}")
-        if not (1 <= i < j <= n):
-            _fail(lineno, f"need 1 <= i < j <= {n}, got ({i}, {j})")
-        if (i, j) in seen:
-            _fail(lineno, f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        ei[idx], ej[idx] = i, j
-        if weights is not None:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                _fail(lineno, f"weight must be a number, got {parts[2]!r}")
-            if not (w > 0):
-                _fail(lineno, f"weight must be positive, got {w}")
-            weights[idx] = w
-    return RankGraph(n, ei, ej, weights)
+    if width == 3:
+        weights = _column(text, lines, tokens[2::3], 1, float, np.float64,
+                          "weight must be a number")
+        del tokens[2::3]
+    ei, ej = _column(text, lines, tokens, 2, int, np.int64,
+                     "endpoints must be integers").reshape(m, 2).T
+    bad = np.flatnonzero((ei < 1) | (ei >= ej) | (ej > n))
+    if bad.size:
+        i, j = ei[bad[0]], ej[bad[0]]
+        _fail(lines[bad[0]], f"need 1 <= i < j <= {n}, got ({i}, {j})")
+    try:
+        return RankGraph(n, ei, ej, weights)
+    except _EdgeError as exc:
+        _fail(lines[exc.row], str(exc))
 
 
 def edge_list_text(g: RankGraph) -> str:
@@ -112,39 +117,26 @@ def read_points(path) -> np.ndarray:
 
 
 def parse_points(text: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("line 1: missing header")
-    head = lines[0].split()
-    if len(head) != 2:
-        _fail(1, f"header must be 'n d', got {lines[0]!r}")
-    try:
-        n, d = int(head[0]), int(head[1])
-    except ValueError:
-        _fail(1, f"header must be two integers, got {lines[0]!r}")
+    n, d, lines, counts, tokens = _table(text, "n d")
     if n < 1 or d < 1:
         _fail(1, f"need n >= 1 and d >= 1, got n={n} d={d}")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != n:
-        raise FormatError(f"header promises {n} points, file has {len(body)}")
-    out = np.empty((n, d), dtype=np.float64)
-    for idx, ln in enumerate(body):
-        lineno = idx + 2
-        parts = ln.split()
-        if len(parts) != d:
-            _fail(lineno, f"expected {d} coordinates, got {len(parts)}")
-        try:
-            out[idx] = [float(p) for p in parts]
-        except ValueError:
-            _fail(lineno, f"coordinates must be numbers, got {ln!r}")
+    if lines.size != n:
+        raise FormatError(f"header promises {n} points, file has {lines.size}")
+    bad = np.flatnonzero(counts != d)
+    if bad.size:
+        _fail(lines[bad[0]], f"expected {d} coordinates, got {counts[bad[0]]}")
+    out = _column(text, lines, tokens, d, float, np.float64,
+                  "coordinates must be numbers").reshape(n, d)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        _fail(lines[bad[0]], "coordinates must be finite", text)
     return out
 
 
 def points_text(coords: np.ndarray) -> str:
     coords = np.asarray(coords, dtype=np.float64)
-    lines = [f"{coords.shape[0]} {coords.shape[1]}"]
-    lines.extend(" ".join(repr(float(x)) for x in row) for row in coords)
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(map(repr, row)) for row in coords.tolist())
+    return "\n".join([f"{coords.shape[0]} {coords.shape[1]}", *rows]) + "\n"
 
 
 def write_points(coords: np.ndarray, path) -> None:

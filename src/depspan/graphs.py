@@ -66,11 +66,9 @@ class RankGraph:
         return set(zip(self.edge_i.tolist(), self.edge_j.tolist()))
 
     def edge_weight_map(self) -> dict[tuple[int, int], float]:
-        if self.weights is None:
-            return {(int(i), int(j)): float(j - i)
-                    for i, j in zip(self.edge_i, self.edge_j)}
-        return {(int(i), int(j)): float(w)
-                for i, j, w in zip(self.edge_i, self.edge_j, self.weights)}
+        w = self.edge_j - self.edge_i if self.weights is None else self.weights
+        return {(int(i), int(j)): float(x)
+                for i, j, x in zip(self.edge_i, self.edge_j, w)}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankGraph):
@@ -116,8 +114,17 @@ def _edge_union(n, edge_i, edge_j) -> RankGraph:
     return RankGraph(n, *_key_edges(n, keys[_run_starts(keys)]), _validated=True)
 
 
+class _EdgeError(ValueError):
+    """A bad input edge; row is its index in the input arrays."""
+
+    def __init__(self, msg: str, row: int):
+        super().__init__(msg)
+        self.row = row
+
+
 def _canonicalize(n, edge_i, edge_j, weights):
-    """Canonical i < j order; rejects bad edges before narrowing to int32."""
+    """Canonical i < j order; rejects bad edges before narrowing to int32.
+    Duplicates and bad weights raise _EdgeError naming the first input row."""
     if edge_i.shape != edge_j.shape:
         raise ValueError("edge arrays must have equal length")
     if weights is not None and weights.shape[0] != edge_i.shape[0]:
@@ -130,21 +137,21 @@ def _canonicalize(n, edge_i, edge_j, weights):
     keys = _edge_keys(n, lo, hi)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    dup = keys[~_run_starts(keys)]
-    if dup.size:
-        i, j = divmod(int(dup[0]), n + 1)
-        raise ValueError(f"duplicate edge ({i}, {j})")
+    first = _run_starts(keys)
+    if not first.all():
+        row = int(order[~first].min())
+        raise _EdgeError(f"duplicate edge ({lo[row]}, {hi[row]})", row)
     if weights is not None:
-        if np.any(~(weights > 0)):
-            raise ValueError("edge weights must be positive")
+        bad = ~(np.isfinite(weights) & (weights > 0))
+        if bad.any():
+            raise _EdgeError("edge weights must be finite and positive",
+                             int(bad.argmax()))
         weights = weights[order]
     return (*_key_edges(n, keys), weights)
 
 
 def complete_graph(n: int) -> RankGraph:
     """K_n on vertices 1..n, with n(n-1)/2 edges."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     ei, ej = np.triu_indices(n, k=1)
     return RankGraph(n, (ei + 1).astype(np.int32), (ej + 1).astype(np.int32),
                      _validated=True)

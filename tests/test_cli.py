@@ -68,6 +68,13 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "deficiency", "--graph", str(g),
                            "--psi", "0.5", "--trials", "2", *bad)
         assert code == 2 and "error" in err, bad
+    # without --psi the count is exact, but bad values are still rejected
+    for bad in (["--source-samples", "4"], ["--jobs", "0"]):
+        code, out, err = run(capsys, "deficiency", "--graph", str(g), *bad)
+        assert code == 2 and "error" in err and not out, bad
+    code, _, err = run(capsys, "experiment", "sparse-failure", "--n", "16",
+                       "--psi", "0.5", "--trials", "2", "--source-samples", "4")
+    assert code == 2 and "clique-scaling" in err
 
 
 def test_build_euclid_and_verify_stretch(tmp_path, capsys):

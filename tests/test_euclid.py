@@ -43,6 +43,15 @@ def test_normalize_rejects_duplicates_listing_indices():
         normalize_points(np.array([[2.0, 2.0], [2.0, 2.0]]))
 
 
+def test_normalize_rejects_non_finite():
+    # NaN slipped past the range checks; inf surfaced as a duplicate
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_points(np.array([[0.0], [bad], [1.0]]))
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        PointSet(np.array([[0.5], [np.nan]]))
+
+
 def test_pointset_validation():
     with pytest.raises(ValueError):
         PointSet(np.array([[0.5, 0.5]]))          # n < 2

@@ -28,6 +28,11 @@ def test_config_validation():
             _cfg(source_samples=s)
     with pytest.raises(ValueError, match="source sampling"):
         _cfg(source_samples=8, hops=2)
+    # hops and source samples are read only by clique-scaling
+    for name in ("spanner-vs-clique", "sparse-failure", "hop-survival"):
+        for kw in ({"hops": 2}, {"source_samples": 4}):
+            with pytest.raises(ValueError, match="only to clique-scaling"):
+                _cfg(name=name, **kw)
 
 
 def test_csv_is_deterministic_and_thread_invariant():

@@ -5,6 +5,7 @@ from depspan.fileio import (FormatError, edge_list_text, parse_edge_list,
                             parse_points, points_text, read_edge_list,
                             read_points, write_edge_list, write_points)
 from depspan.graphs import RankGraph, complete_graph
+from depspan.spanners1d import four_hop_spanner
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -36,10 +37,33 @@ def test_weighted_round_trip(tmp_path):
     ("5 2\n1 2\n2 3 1.5\n", "line 3: mixed"),
     ("5 1\n1 2 0.0\n", "positive"),
     ("5 1\nx y\n", "integers"),
+    # line numbers are physical: the blank line 2 still counts
+    ("5 2\n\n1 2\n1 2\n", "line 4: duplicate"),
+    ("5 1\n1\n", "line 2: expected 'i j'"),
+    ("5 1\n1 2 3 4\n", "line 2: expected 'i j'"),
+    ("5 1\n1 2 abc\n", "line 2: weight must be a number"),
+    ("5 3\n1 2\n2 3\n3 x\n", "line 4: endpoints must be integers"),
+    ("0 0\n", "line 1: vertex count"),
+    ("5 1\n1 2 inf\n", "line 2: .*finite"),
+    ("5 2\n1 2 1.0\n2 3 nan\n", "line 3: .*finite"),
 ])
 def test_edge_list_errors(text, message):
     with pytest.raises(FormatError, match=message):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text", [
+    "5 2\r\n1 2\r\n2 4\r\n",                       # CRLF
+    "5 2\n1\t2\n\t2\t 4\t\n",                      # tab-separated
+    "5 2\n\n1\x0b2\x0c\n\r\n2\x1c\x1d\x1e\x1f4\n\n",  # every other separator
+])
+def test_edge_list_whitespace_accepted(text):
+    assert parse_edge_list(text) == RankGraph.from_edges(5, [(1, 2), (2, 4)])
+
+
+def test_edge_list_parse_round_trip():
+    g = four_hop_spanner(2048, 0.5, seed=1301)
+    assert parse_edge_list(edge_list_text(g)) == g
 
 
 def test_edge_order_rejected_when_reversed():
@@ -62,6 +86,9 @@ def test_points_round_trip(tmp_path):
     ("2 2\n0.0 0.0\n", "promises 2 points"),
     ("1 2\n0.0\n", "line 2: expected 2"),
     ("1 2\n0.0 zz\n", "numbers"),
+    ("2 1\n\n0.5\nzz\n", "line 4: coordinates must be numbers"),
+    ("3 1\n0\nnan\n1\n", "line 3: coordinates must be finite"),
+    ("2 2\n0 0\n-inf 1\n", "line 3: coordinates must be finite"),
 ])
 def test_points_errors(text, message):
     with pytest.raises(FormatError, match=message):

@@ -63,6 +63,9 @@ def test_weight_table_must_match_edges():
         RankGraph.from_edges(3, [(1, 2)], weights=[0.0])
     with pytest.raises(ValueError, match="cover exactly"):
         RankGraph(3, [], [], [1.0, 2.0])
+    for w in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RankGraph.from_edges(3, [(1, 2)], weights=[w])
 
 
 def test_graphs_are_immutable():
