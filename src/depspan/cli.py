@@ -15,7 +15,8 @@ from .euclid import (count_stretch_failures, euclidean_dependable_spanner,
                      normalize_points, DEFAULT_MAX_ORDERINGS)
 from .experiments import (ExperimentConfig, EXPERIMENT_NAMES, check_experiment,
                           render_csv, run_experiment)
-from .fileio import (FormatError, read_edge_list, read_points, write_edge_list)
+from .fileio import (FormatError, _edge_list_chunks, read_edge_list, read_points,
+                     write_edge_list)
 from .graphs import RankGraph, complete_graph, filter_edges
 from .lso import build_lso_family, family_size_bound, locality_witness
 from .reach import deficiency, khop_deficiency, monte_carlo_deficiency
@@ -30,8 +31,7 @@ CHECK_FAILED = 3
 
 def _write_graph(g: RankGraph, out: str | None) -> None:
     if out is None:
-        from .fileio import edge_list_text
-        sys.stdout.write(edge_list_text(g))
+        sys.stdout.writelines(_edge_list_chunks(g))
     else:
         write_edge_list(g, out)
 

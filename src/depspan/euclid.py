@@ -130,7 +130,8 @@ class GeometricGraph:
 def _spread_ids(total: int, cap: int | None) -> np.ndarray:
     if cap is None or total <= cap:
         return np.arange(total, dtype=np.int64)
-    return np.unique(np.round(np.linspace(0, total - 1, cap)).astype(np.int64))
+    # the linspace step exceeds 1, so the rounded ids are distinct and sorted
+    return np.round(np.linspace(0, total - 1, cap)).astype(np.int64)
 
 
 def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
@@ -152,6 +153,9 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not (0.0 < psi <= 1.0):
         raise ValueError(f"survival probability must be in (0, 1], got {psi}")
+    if max_orderings is not None and max_orderings < 1:
+        raise ValueError("max_orderings must be >= 1 (or None for the whole "
+                         f"family), got {max_orderings}")
     n, d = points.n, points.dim
     if mode == "four-hop":
         fam = build_lso_family(eps / 8.0, d)
@@ -327,13 +331,16 @@ def four_hop_paths_resummed(h: GeometricGraph):
     return d4, resummed
 
 
+def _stretch_failures(h: GeometricGraph, dist: np.ndarray, eps: float,
+                      k: int) -> np.ndarray:
+    bad = bounded_hop_matrix(h, k) > (1.0 + eps) * dist
+    return np.triu(bad, k=1)
+
+
 def stretch_failure_mask(h: GeometricGraph, eps: float, k: int) -> np.ndarray:
     """Upper-triangular boolean matrix: True where no <=k-hop path of length
     <= (1+eps)*|uv| exists. Uses normalized coordinates."""
-    dist = h.points.distance_matrix()
-    bounded = bounded_hop_matrix(h, k)
-    bad = bounded > (1.0 + eps) * dist
-    return np.triu(bad, k=1)
+    return _stretch_failures(h, h.points.distance_matrix(), eps, k)
 
 
 def count_stretch_failures(h: GeometricGraph, points: PointSet, eps: float,
@@ -342,6 +349,4 @@ def count_stretch_failures(h: GeometricGraph, points: PointSet, eps: float,
     (1+eps) times their Euclidean distance; exact over all pairs."""
     if points.n != h.n:
         raise ValueError("point set does not match the graph")
-    dist = points.distance_matrix()
-    bounded = bounded_hop_matrix(h, k)
-    return int(np.triu(bounded > (1.0 + eps) * dist, k=1).sum())
+    return int(_stretch_failures(h, points.distance_matrix(), eps, k).sum())

@@ -16,6 +16,7 @@ __all__ = ["FormatError", "read_edge_list", "write_edge_list",
            "edge_list_text", "read_points", "write_points", "points_text"]
 
 _SPACE = np.array([chr(c).isspace() for c in range(128)])  # as str.split()
+_CHUNK_ROWS = 65536  # edges formatted per chunk of written text
 
 
 class FormatError(ValueError):
@@ -96,19 +97,27 @@ def parse_edge_list(text: str) -> RankGraph:
         _fail(lines[exc.row], str(exc))
 
 
+def _edge_list_chunks(g: RankGraph):
+    """The edge-list text as a sequence of chunks, each formatting at most
+    _CHUNK_ROWS edges from Python ints and floats."""
+    yield f"{g.n} {g.m}\n"
+    for lo in range(0, g.m, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        ei, ej = g.edge_i[rows].tolist(), g.edge_j[rows].tolist()
+        if g.weights is None:
+            yield "".join([f"{i} {j}\n" for i, j in zip(ei, ej)])
+        else:
+            yield "".join([f"{i} {j} {w!r}\n" for i, j, w
+                           in zip(ei, ej, g.weights[rows].tolist())])
+
+
 def edge_list_text(g: RankGraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    if g.weights is None:
-        lines.extend(f"{i} {j}" for i, j in zip(g.edge_i, g.edge_j))
-    else:
-        lines.extend(f"{i} {j} {float(w)!r}"
-                     for i, j, w in zip(g.edge_i, g.edge_j, g.weights))
-    return "\n".join(lines) + "\n"
+    return "".join(_edge_list_chunks(g))
 
 
 def write_edge_list(g: RankGraph, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(edge_list_text(g))
+        fh.writelines(_edge_list_chunks(g))
 
 
 def read_points(path) -> np.ndarray:

@@ -65,9 +65,35 @@ class Ordering:
 
     @property
     def levels(self) -> int:
-        # level 0 covers the `offset` bits above the first full digit boundary
-        h = self.grid.bit_length() - 1
-        return 1 + -((-(_FRAC_BITS + 1 - self.offset)) // h)
+        return 1 + int(_level_of_bit(0, self.offset, self.grid.bit_length() - 1))
+
+
+def _low_bit(offset, h: int, level):
+    """Lowest fixed-point bit of a level (h = log2 G bits per level). Level 0
+    holds the bits from _FRAC_BITS + 1 - offset up (fewer than h of them, so
+    still a valid digit); each later level the next h bits below."""
+    return _FRAC_BITS + 1 - offset - level * h
+
+
+def _level_of_bit(bit, offset, h: int):
+    """The level holding fixed-point bit `bit` >= 0: the first whose lowest
+    bit is at or below it."""
+    return np.maximum(0, -((bit - _low_bit(offset, h, 0)) // h))
+
+
+def _cells(y: np.ndarray, grid: int, pos) -> np.ndarray:
+    """Cell index in [0, grid^d) of fixed-point points y (..., d) at the level
+    whose lowest bit is pos: the base-grid digit of each axis, axis 0 least
+    significant. pos broadcasts against y's leading axes; a negative pos
+    zero-pads below bit 0."""
+    pos = np.asarray(pos, dtype=np.int64)[..., None]
+    up = np.maximum(-pos, 0).astype(np.uint64)
+    down = np.maximum(pos, 0).astype(np.uint64)
+    digits = (((y << up) >> down) & np.uint64(grid - 1)).astype(np.int64)
+    cell = digits[..., -1]
+    for ax in range(y.shape[-1] - 2, -1, -1):
+        cell = cell * grid + digits[..., ax]
+    return cell
 
 
 def _walecki_positions(cells: np.ndarray, path: int, ncells: int) -> np.ndarray:
@@ -83,87 +109,54 @@ def _walecki_positions(cells: np.ndarray, path: int, ncells: int) -> np.ndarray:
     return np.where(e == 0, 0, np.where(e <= half, 2 * e - 1, 2 * (ncells - e)))
 
 
-def _walecki_path_of_pair(a: int, b: int, ncells: int) -> int:
-    """The unique path index whose traversal makes cells a and b adjacent."""
+def _walecki_path_of_pair(a, b, ncells: int):
+    """The unique path index whose traversal makes cells a and b adjacent;
+    elementwise over arrays of distinct cell pairs."""
     half = ncells // 2
-    for x, y in ((a, b), (b, a)):
+
+    def start(x, y):  # the path on which y follows x, mod N
         delta = (y - x) % ncells
-        if delta % 2 == 1:
-            p = (x + (delta - 1) // 2) % ncells
-        else:
-            p = (x + delta // 2 - half) % ncells
-        if p < half:
-            return p
-    raise AssertionError("pair not covered; unreachable for even cell counts")
+        return (x + np.where(delta % 2 == 1, (delta - 1) // 2,
+                             delta // 2 - half)) % ncells
+
+    p = start(a, b)
+    return np.where(p < half, p, start(b, a))
 
 
-def _fixed_point(coords: np.ndarray, shift: float) -> np.ndarray:
-    """(n, d) coordinates -> (n, d) uint64 fixed-point values of coord+shift."""
+def _fixed_point(coords: np.ndarray, shift) -> np.ndarray:
+    """Coordinates -> uint64 fixed-point values of coord+shift (broadcast)."""
     return np.floor((coords + shift) * float(1 << _FRAC_BITS)).astype(np.uint64)
-
-
-def _digit(y: np.ndarray, ordering: Ordering, level: int) -> np.ndarray:
-    """Base-G digit of fixed-point values at a level of the shifted grid.
-
-    Level 0 holds the bits above the first offset-aligned boundary (fewer
-    than log2 G of them, so still a valid digit); level t >= 1 holds the t-th
-    full group of log2 G bits below it, zero-padded at the bottom.
-    """
-    h = ordering.grid.bit_length() - 1
-    mask = np.uint64(ordering.grid - 1)
-    if level == 0:
-        return ((y >> (_FRAC_BITS + 1 - ordering.offset)) & mask).astype(np.int64)
-    pos = _FRAC_BITS + 1 - ordering.offset - level * h
-    if pos >= 0:
-        return ((y >> pos) & mask).astype(np.int64)
-    return ((y << (-pos)) & mask).astype(np.int64)
 
 
 def _key_matrix(ordering: Ordering, coords: np.ndarray) -> np.ndarray:
     """(n, levels) int64 sort keys; row-lex order is the ordering."""
     y = _fixed_point(coords, ordering.shift_index / ordering.shift_count)
-    ncells = ordering.grid ** ordering.dim
-    levels = ordering.levels
-    out = np.empty((coords.shape[0], levels), dtype=np.int64)
-    for t in range(levels):
-        cell = _digit(y[:, 0], ordering, t).copy()
-        scale = 1
-        for ax in range(1, ordering.dim):
-            scale *= ordering.grid
-            cell += _digit(y[:, ax], ordering, t) * scale
-        out[:, t] = _walecki_positions(cell, ordering.path, ncells)
-    return out
+    h = ordering.grid.bit_length() - 1
+    pos = _low_bit(ordering.offset, h, np.arange(ordering.levels))
+    cells = _cells(y, ordering.grid, pos[:, None])  # (levels, n)
+    return _walecki_positions(cells, ordering.path, ordering.grid ** ordering.dim).T
 
 
-def _row_compare(keys: np.ndarray, coords: np.ndarray,
-                 ref_key: np.ndarray, ref_coord: np.ndarray) -> np.ndarray:
-    """Vectorized -1/0/+1 of every row against one reference point, comparing
-    digit keys first and raw coordinates as the final tiebreak."""
-    full = np.concatenate([keys.astype(np.float64), coords], axis=1)
-    ref = np.concatenate([ref_key.astype(np.float64), ref_coord])
-    diff = full != ref[None, :]
-    anydiff = diff.any(axis=1)
-    first = np.argmax(diff, axis=1)
-    picked = full[np.arange(full.shape[0]), first]
-    out = np.sign(picked - ref[first]).astype(np.int8)
-    out[~anydiff] = 0
-    return out
+def _lex_sign(keys: np.ndarray, coords: np.ndarray, ref: int) -> np.ndarray:
+    """-1/0/+1 of every row against row `ref`, comparing digit keys first
+    (exactly, as integers) and raw coordinates as the final tiebreak."""
+    signs = np.concatenate([np.sign(keys - keys[ref]),
+                            np.sign(coords - coords[ref]).astype(np.int64)], axis=1)
+    return signs[np.arange(signs.shape[0]), np.argmax(signs != 0, axis=1)]
 
 
 class OrderingFamily:
     """Lazy, deterministic sequence of orderings for one (eps, dim)."""
 
-    def __init__(self, eps: float, dim: int, grid_factor: float = GRID_FACTOR,
-                 shift_count: int | None = None):
+    def __init__(self, eps: float, dim: int):
         if not (0.0 < eps <= 0.5):
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.eps = float(eps)
         self.dim = int(dim)
-        self.grid = max(4, 1 << math.ceil(math.log2(grid_factor / eps)))
-        self.grid_factor = grid_factor
-        self.shifts = _shift_count(dim) if shift_count is None else shift_count
+        self.grid = max(4, 1 << math.ceil(math.log2(GRID_FACTOR / eps)))
+        self.shifts = _shift_count(dim)
         if self.shifts % 2 == 0:
             raise ValueError("shift count must be odd")
         self.offsets = self.grid.bit_length() - 1
@@ -171,10 +164,6 @@ class OrderingFamily:
 
     def __len__(self) -> int:
         return 1 + self.shifts * self.offsets * self.paths
-
-    @property
-    def size(self) -> int:
-        return len(self)
 
     def ordering(self, oid: int) -> Ordering:
         if not (0 <= oid < len(self)):
@@ -188,24 +177,17 @@ class OrderingFamily:
         return Ordering(id=oid, dim=self.dim, grid=self.grid, shift_index=s,
                         shift_count=self.shifts, offset=r, path=p)
 
-    def ordering_id(self, shift_index: int, offset: int, path: int) -> int:
-        if path < 0:
+    def ordering_id(self, shift_index, offset, path):
+        """Inverse of ordering(); elementwise over arrays of path >= 0."""
+        if np.ndim(path) == 0 and path < 0:
             return 0
         return 1 + (shift_index * self.offsets + offset) * self.paths + path
-
-    def __getitem__(self, oid: int) -> Ordering:
-        return self.ordering(oid)
-
-    def __iter__(self):
-        return (self.ordering(i) for i in range(len(self)))
 
     def sort_indices(self, o: Ordering, coords: np.ndarray) -> np.ndarray:
         """Point indices (0-based) in ascending order under o."""
         coords = _as_coords(coords, self.dim)
         keys = _key_matrix(o, coords)
-        cols = [coords[:, ax] for ax in range(self.dim - 1, -1, -1)]
-        cols += [keys[:, t] for t in range(keys.shape[1] - 1, -1, -1)]
-        return np.lexsort(tuple(cols))
+        return np.lexsort((*coords.T[::-1], *keys.T[::-1]))
 
     def __repr__(self) -> str:
         return (f"OrderingFamily(eps={self.eps}, dim={self.dim}, "
@@ -245,63 +227,17 @@ def compare_points(o: Ordering, p, q) -> int:
     to plain lexicographic coordinate comparison.
     """
     pq = _as_coords(np.asarray([p, q], dtype=np.float64), o.dim)
-    ncells = o.grid ** o.dim
-    y = _fixed_point(pq, o.shift_index / o.shift_count)
-    for t in range(o.levels):
-        cell = _digit(y[:, 0], o, t).copy()
-        scale = 1
-        for ax in range(1, o.dim):
-            scale *= o.grid
-            cell += _digit(y[:, ax], o, t) * scale
-        kp, kq = _walecki_positions(cell, o.path, ncells)
-        if kp != kq:
-            return -1 if kp < kq else 1
-    for a, b in zip(pq[0], pq[1]):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
+    return int(_lex_sign(_key_matrix(o, pq), pq, 1)[0])
 
 
-def _first_diff_cells(fam: OrderingFamily, yu: list, yv: list, offset: int):
-    """First level where u and v occupy different cells under this offset:
-    returns (level, cell_u, cell_v, cell_side) or None if never.
-
-    yu/yv are per-axis fixed-point ints for an already applied shift.
-    """
-    h = fam.grid.bit_length() - 1
-    grid = fam.grid
-    mask = grid - 1
-    levels = 1 + -((-(_FRAC_BITS + 1 - offset)) // h)
-    for t in range(levels):
-        if t == 0:
-            pos = _FRAC_BITS + 1 - offset
-        else:
-            pos = _FRAC_BITS + 1 - offset - t * h
-        cu = cv = 0
-        scale = 1
-        for ax in range(fam.dim):
-            if pos >= 0:
-                du = (yu[ax] >> pos) & mask
-                dv = (yv[ax] >> pos) & mask
-            else:
-                du = (yu[ax] << (-pos)) & mask
-                dv = (yv[ax] << (-pos)) & mask
-            cu += du * scale
-            cv += dv * scale
-            scale *= grid
-        if cu != cv:
-            side = 2.0 ** (1 - offset - t * h)
-            return t, cu, cv, side
-    return None
-
-
-def locality_witness(fam: OrderingFamily, points, u, v,
-                     max_candidates: int | None = None):
+def locality_witness(fam: OrderingFamily, points, u, v):
     """Some ordering id o such that every point of P strictly between u and v
     under o lies within eps*|uv| of u or of v; None if no candidate qualifies.
 
-    Candidates are generated directly from the pair's geometry (one per
-    shift/offset whose differing-level cells are adjacent under some path),
+    Candidates are generated directly from the pair's geometry, one per
+    (shift, offset) under which u and v differ in fixed point: the first level
+    where their cells differ is the one holding the highest differing bit, and
+    the path making those two cells adjacent gives the ordering. They are
     tried in order of locality margin; each is verified against the actual
     point set before being returned.
     """
@@ -314,38 +250,30 @@ def locality_witness(fam: OrderingFamily, points, u, v,
         raise ValueError("u and v must both be members of the point set")
     if np.array_equal(u, v):
         raise ValueError("u and v must be distinct")
-    ell = float(np.linalg.norm(u - v))
-    limit = fam.eps * ell
-    sqrt_d = math.sqrt(fam.dim)
+    limit = fam.eps * float(np.linalg.norm(u - v))
 
-    candidates = [0]  # identity order first: qualifies whenever nothing sits between
-    scored = []
-    scale = float(1 << _FRAC_BITS)
-    ncells = fam.grid ** fam.dim
-    for s in range(fam.shifts):
-        shift = s / fam.shifts
-        yu = [int((u[ax] + shift) * scale) for ax in range(fam.dim)]
-        yv = [int((v[ax] + shift) * scale) for ax in range(fam.dim)]
-        for r in range(fam.offsets):
-            hit = _first_diff_cells(fam, yu, yv, r)
-            if hit is None:
-                continue
-            _, cu, cv, side = hit
-            path = _walecki_path_of_pair(cu, cv, ncells)
-            # margin < 1 means the two cells are provably small enough
-            margin = (sqrt_d * side) / limit if limit > 0 else math.inf
-            scored.append((margin, fam.ordering_id(s, r, path)))
-    scored.sort()
-    candidates.extend(oid for _, oid in scored)
-    if max_candidates is not None:
-        candidates = candidates[:max_candidates]
-
-    for oid in candidates:
-        o = fam.ordering(oid)
-        keys = _key_matrix(o, coords)
-        cmp_u = _row_compare(keys, coords, keys[iu[0]], coords[iu[0]])
-        cmp_v = _row_compare(keys, coords, keys[iv[0]], coords[iv[0]])
-        between = (cmp_u * cmp_v) < 0  # strictly after one and before the other
+    h = fam.offsets
+    shifts = np.arange(fam.shifts) / fam.shifts
+    y = _fixed_point(np.stack([u, v]), shifts[:, None, None])  # (shift, u|v, axis)
+    # highest bit in which any axis differs, per shift (-1 where none does);
+    # frexp reads it exactly, since the values are below 2^53
+    diff = np.bitwise_or.reduce(y[:, 0] ^ y[:, 1], axis=1)
+    top = np.frexp(diff.astype(np.float64))[1] - 1
+    s, r = np.nonzero(np.broadcast_to((top >= 0)[:, None], (fam.shifts, h)))
+    pos = _low_bit(r, h, _level_of_bit(top[s], r, h))
+    cells = _cells(y[s], fam.grid, pos[:, None])
+    path = _walecki_path_of_pair(cells[:, 0], cells[:, 1], fam.grid ** fam.dim)
+    ids = fam.ordering_id(s, r, path)
+    # margin < 1 means the two cells are provably small enough
+    if limit > 0:
+        margin = np.ldexp(math.sqrt(fam.dim), pos - _FRAC_BITS) / limit
+    else:
+        margin = np.full(ids.size, math.inf)
+    # identity order first: qualifies whenever nothing sits between
+    for oid in [0, *ids[np.lexsort((ids, margin))].tolist()]:
+        keys = _key_matrix(fam.ordering(oid), coords)
+        # strictly after one endpoint and before the other
+        between = _lex_sign(keys, coords, iu[0]) * _lex_sign(keys, coords, iv[0]) < 0
         if not between.any():
             return oid
         w = coords[between]

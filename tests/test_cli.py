@@ -75,6 +75,11 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "experiment", "sparse-failure", "--n", "16",
                        "--psi", "0.5", "--trials", "2", "--source-samples", "4")
     assert code == 2 and "clique-scaling" in err
+    pfile = tmp_path / "pts.txt"
+    write_points(np.random.default_rng(4).random((8, 2)), pfile)
+    code, out, err = run(capsys, "build", "euclid", "--points", str(pfile),
+                         "--eps", "0.25", "--psi", "0.5", "--max-orderings", "0")
+    assert code == 2 and "max_orderings" in err and not out
 
 
 def test_build_euclid_and_verify_stretch(tmp_path, capsys):

@@ -103,6 +103,10 @@ def test_spanner_mode_validation():
         euclidean_dependable_spanner(ps, 1.5, 0.5)
     with pytest.raises(ValueError):
         euclidean_dependable_spanner(ps, 0.25, 1.5)
+    # the union always includes the identity ordering, so at least one
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_orderings must be >= 1"):
+            euclidean_dependable_spanner(ps, 0.25, 0.5, max_orderings=bad)
 
 
 def test_spanner_log_hop_mode_builds():

@@ -1,6 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
+from depspan import fileio
+from depspan.cli import main
 from depspan.fileio import (FormatError, edge_list_text, parse_edge_list,
                             parse_points, points_text, read_edge_list,
                             read_points, write_edge_list, write_points)
@@ -25,6 +29,28 @@ def test_weighted_round_trip(tmp_path):
     back = read_edge_list(path)
     assert back == g
     assert edge_list_text(back) == path.read_text()
+
+
+def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
+    # chunk boundaries fall mid-list and on its end; the text is one line per
+    # edge, the same from edge_list_text, write_edge_list and CLI stdout
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", 3)
+    weighted = RankGraph.from_edges(6, [(1, 2), (1, 5), (2, 6), (3, 4), (4, 6), (5, 6)],
+                                    weights=[0.5, 1 / 3, 2.0, 1e-300, 7.25, 0.1])
+    for g in (complete_graph(4), complete_graph(5), weighted):
+        rows = [f"{g.n} {g.m}"]
+        for t, (i, j) in enumerate(zip(g.edge_i.tolist(), g.edge_j.tolist())):
+            rows.append(f"{i} {j}" if g.weights is None
+                        else f"{i} {j} {float(g.weights[t])!r}")
+        want = "\n".join(rows) + "\n"
+        assert edge_list_text(g) == want
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        assert path.read_bytes() == want.encode()
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["gen-clique", "--n", "5"]) == 0
+    assert out.getvalue() == edge_list_text(complete_graph(5))
 
 
 @pytest.mark.parametrize("text,message", [
@@ -78,6 +104,28 @@ def test_points_round_trip(tmp_path):
     back = read_points(path)
     assert np.array_equal(back, pts)
     assert points_text(back) == path.read_text()
+
+
+def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
+    # chunk boundaries fall mid-list and on its end; the text is one line per
+    # edge, the same from edge_list_text, write_edge_list and CLI stdout
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", 3)
+    weighted = RankGraph.from_edges(6, [(1, 2), (1, 5), (2, 6), (3, 4), (4, 6), (5, 6)],
+                                    weights=[0.5, 1 / 3, 2.0, 1e-300, 7.25, 0.1])
+    for g in (complete_graph(4), complete_graph(5), weighted):
+        rows = [f"{g.n} {g.m}"]
+        for t, (i, j) in enumerate(zip(g.edge_i.tolist(), g.edge_j.tolist())):
+            rows.append(f"{i} {j}" if g.weights is None
+                        else f"{i} {j} {float(g.weights[t])!r}")
+        want = "\n".join(rows) + "\n"
+        assert edge_list_text(g) == want
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        assert path.read_bytes() == want.encode()
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["gen-clique", "--n", "5"]) == 0
+    assert out.getvalue() == edge_list_text(complete_graph(5))
 
 
 @pytest.mark.parametrize("text,message", [

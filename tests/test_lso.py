@@ -1,9 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from depspan.lso import (build_lso_family, compare_points, family_size_bound,
-                         locality_witness, _walecki_path_of_pair,
-                         _walecki_positions)
+                         locality_witness, _cells, _fixed_point, _level_of_bit,
+                         _low_bit, _walecki_path_of_pair, _walecki_positions)
 
 
 @pytest.mark.parametrize("ncells", [4, 16, 64, 256])
@@ -29,6 +32,12 @@ def test_walecki_pair_solver(ncells):
             assert 0 <= p < ncells // 2
             pos = _walecki_positions(cells, p, ncells)
             assert abs(int(pos[a]) - int(pos[b])) == 1
+    # whole arrays of pairs, in both orientations, give the same paths
+    a, b = np.triu_indices(ncells, k=1)
+    for x, y in ((a, b), (b, a)):
+        paths = _walecki_path_of_pair(x, y, ncells)
+        assert paths.tolist() == [_walecki_path_of_pair(int(i), int(j), ncells)
+                                  for i, j in zip(a, b)]
 
 
 @pytest.mark.parametrize("ncells", [1024, 4096, 512 ** 2])
@@ -117,6 +126,28 @@ def test_sort_indices_consistent_with_comparator(np_rng):
             assert compare_points(o, pts[a], pts[b]) == -1
 
 
+def test_first_differing_level_holds_top_differing_bit(np_rng):
+    # the closed form the witness reads its candidates from, against a scan
+    # over every level for the first one where the two cells differ
+    for d, eps in ((1, 0.25), (2, 0.5), (3, 0.5)):
+        fam = build_lso_family(eps, d)
+        h = fam.offsets
+        for trial in range(12):
+            uv = np_rng.random((2, d))
+            if trial % 3 == 0:
+                uv[1, 0] = np.nextafter(uv[0, 0], 1.0)
+                uv[1, 1:] = uv[0, 1:]
+            for s in range(fam.shifts):
+                y = _fixed_point(uv, s / fam.shifts)
+                top = max((int(a) ^ int(b)).bit_length() for a, b in zip(*y)) - 1
+                for r in range(h):
+                    levels = fam.ordering(fam.ordering_id(s, r, 0)).levels
+                    cells = [_cells(y, fam.grid, _low_bit(r, h, t)).tolist()
+                             for t in range(levels)]
+                    first = next((t for t, (a, b) in enumerate(cells) if a != b), None)
+                    assert first == (None if top < 0 else _level_of_bit(top, r, h))
+
+
 def test_witness_trivial_pair_returns_first_id():
     fam = build_lso_family(0.25, 2)
     pts = np.array([[0.1, 0.2], [0.8, 0.9]])
@@ -182,3 +213,70 @@ def test_witness_verifies_locality_directly(np_rng):
                 du = np.linalg.norm(pts[w] - pts[i])
                 dv = np.linalg.norm(pts[w] - pts[j])
                 assert min(du, dv) <= 0.25 * ell + 1e-12
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# SHA-256 of the witness ids of 40 seeded pairs among 64 seeded points, and of
+# the sort_indices orders of ids {0, 1, 17, len//3, len-1} on those points.
+_LSO_GOLDEN = {
+    (1, 0.5): ("4095dcdb04bdd58ec61a3265287803c8354249f68e8bbd55c8c08e6a22c9e9c6",
+               "efdb847445ade349b5449e11af465267c2f6b1c4342463a9ba57501ef23b0e28"),
+    (1, 0.25): ("0fa02f8aea9c064c3cba10e075b1907ad113820a8acb2db28847c067b06927eb",
+                "13f58ad5d167d29e0ac98093c105e64be638ec774a14e35f792b67805fd2f15e"),
+    (2, 0.5): ("338369d270b1f5311987f6def035370d10d249e00f71927972c29c98337f492d",
+               "05aa67f96460e8f2ab3046d21a2281fbe8507c6c58831ce5ecfaf6139613d051"),
+    (2, 0.25): ("62e6a35831290b89ad16a46cdddb91f3380cd1832a5562d21497d6a2b26fd27d",
+                "b5f1a64fecbd7e5d65d5772f9a72a26f5e6a78ddc0434f6f6d2a59201996c6ea"),
+    (2, 1 / 32): ("7e0cc6844aba7938692e75866b1762b5eb963c9ba68c3800b6be9cc833e7ae17",
+                  "1d3f0ae59cc3ca253605a54f6fc64743151fce2068e2b9dd30c9fb731dbaef86"),
+}
+
+
+def _lso_digests(d, eps):
+    fam = build_lso_family(eps, d)
+    rng = np.random.default_rng(int(1000 * d + 1 / eps))
+    pts = rng.random((64, d))
+    pairs = [rng.choice(64, 2, replace=False) for _ in range(40)]
+    ids = [locality_witness(fam, pts, pts[i], pts[j]) for i, j in pairs]
+    orders = [fam.sort_indices(fam.ordering(oid), pts).tolist()
+              for oid in (0, 1, 17, len(fam) // 3, len(fam) - 1)]
+    return _sha(ids), _sha(orders)
+
+
+@pytest.mark.parametrize("d,eps", sorted(_LSO_GOLDEN))
+def test_witness_ids_and_orders_golden(d, eps):
+    # pins every witness id and sort order, so a rewrite of the digit and
+    # comparison code must reproduce the family exactly
+    assert _lso_digests(d, eps) == _LSO_GOLDEN[(d, eps)]
+
+
+# witness ids of the one-ulp pairs below, recorded before the candidate
+# generation was rewritten
+_EQUAL_SHIFT_WITNESS = {(1, 0.25): 0, (2, 0.5): 26633, (2, 0.25): 131089}
+
+
+@pytest.mark.parametrize("d,eps", sorted(_EQUAL_SHIFT_WITNESS))
+def test_witness_with_equal_fixed_point_shifts(d, eps):
+    # u and v one ulp apart agree in fixed point under some shifts, which
+    # yield no candidate, and differ under others. In 2-D, w sits between
+    # them under the identity order (same cells, raw-coordinate tiebreak) and
+    # too far from both, so a candidate from a differing shift must win.
+    a, b = 0.25, np.nextafter(0.25, 1.0)
+    if d == 1:
+        pts = np.array([[a], [b], [0.6]])
+    else:
+        pts = np.array([[a, a], [b, a], [a, b], [0.6, 0.6]])
+    fam = build_lso_family(eps, d)
+    equal = [bool((_fixed_point(pts[:1], s) == _fixed_point(pts[1:2], s)).all())
+             for s in np.arange(fam.shifts) / fam.shifts]
+    assert any(equal) and not all(equal)
+    oid = locality_witness(fam, pts, pts[0], pts[1])
+    assert oid == _EQUAL_SHIFT_WITNESS[(d, eps)]
+    o = fam.ordering(oid)
+    limit = eps * np.linalg.norm(pts[0] - pts[1])
+    for w in pts[2:]:
+        if compare_points(o, w, pts[0]) * compare_points(o, w, pts[1]) < 0:
+            assert min(np.linalg.norm(w - pts[0]), np.linalg.norm(w - pts[1])) <= limit
