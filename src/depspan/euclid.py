@@ -66,6 +66,8 @@ class PointSet:
 
     def distance(self, u: int, v: int) -> float:
         """Normalized Euclidean distance between vertices u, v (1-based)."""
+        if not (1 <= u <= self.n and 1 <= v <= self.n):
+            raise ValueError(f"vertices must be in [1, {self.n}], got {u} and {v}")
         return float(np.linalg.norm(self.coords[u - 1] - self.coords[v - 1]))
 
     def distance_matrix(self) -> np.ndarray:
@@ -200,147 +202,107 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
 
 
 # ---------------------------------------------------------------------------
-# hop-bounded shortest paths
+# hop-bounded shortest paths: Bellman rounds, one source at a time
 
-def _sym_edges(g: RankGraph):
-    src = np.concatenate([g.edge_i, g.edge_j]).astype(np.int64)
-    dst = np.concatenate([g.edge_j, g.edge_i]).astype(np.int64)
-    w = np.concatenate([g.weights, g.weights])
-    return src, dst, w
+def _arcs(g: RankGraph):
+    """Both orientations of g's edges, grouped by head: (tail, weight, head,
+    starts, heads), where arcs starts[i]:starts[i+1] all end at heads[i]."""
+    tail = np.concatenate([g.edge_i, g.edge_j]).astype(np.intp)
+    head = np.concatenate([g.edge_j, g.edge_i]).astype(np.intp)
+    order = np.argsort(head, kind="stable")
+    tail, head = tail[order], head[order]
+    w = np.concatenate([g.weights, g.weights])[order]
+    starts = np.flatnonzero(np.diff(head, prepend=-1))
+    return tail, w, head, starts, head[starts]
 
 
-def _bellman_rounds(h: GeometricGraph, source: int, k: int) -> np.ndarray:
-    """dist[r, v] = cheapest walk source -> v using at most r edges."""
-    n = h.n
-    src, dst, w = _sym_edges(h.graph)
-    rounds = np.full((k + 1, n + 1), np.inf)
-    rounds[:, source] = 0.0
-    for r in range(1, k + 1):
-        cur = rounds[r - 1].copy()
-        np.minimum.at(cur, dst, rounds[r - 1][src] + w)
-        rounds[r] = cur
-    return rounds
+def _hop_rounds(n: int, edges, source: int, k: int, paths: bool = False):
+    """(d, preds): d[v] is the cheapest walk source -> v of at most
+    min(k, n - 1) edges (d[0] unused); edges comes from _arcs.
+
+    With paths, preds holds one array per round run: preds[r][v] is the id of
+    an arc into v that attains v's value after round r + 1, or -1 if v kept
+    its value from round r. Stepping a finite d[v] back through
+    reversed(preds) yields a path whose weights, summed from the source,
+    give d[v] exactly. Rounds stop once nothing changes, so preds may be
+    shorter than k."""
+    tail, w, head, starts, heads = edges
+    d = np.full(n + 1, np.inf)
+    d[source] = 0.0
+    preds = []
+    if tail.size == 0:
+        return d, preds
+    for _ in range(min(k, n - 1)):
+        cand = d[tail]
+        cand += w
+        best = np.minimum.reduceat(cand, starts)
+        lower = best < d[heads]
+        if not lower.any():
+            break
+        d[heads[lower]] = best[lower]
+        if paths:
+            pred = np.full(n + 1, -1, dtype=np.intp)
+            hit = np.flatnonzero(cand == d[head])
+            pred[head[hit]] = hit
+            preds.append(pred)
+    return d, preds
+
+
+def _check_query(h: GeometricGraph, u: int, v: int, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"hop bound must be >= 1, got {k}")
+    if not (1 <= u <= h.n and 1 <= v <= h.n):
+        raise ValueError(f"vertices must be in [1, {h.n}], got {u} and {v}")
 
 
 def bounded_hop_distance(h: GeometricGraph, u: int, v: int, k: int) -> float:
     """Minimum total weight over paths with at most k edges; inf if none."""
-    if k < 1:
-        raise ValueError(f"hop bound must be >= 1, got {k}")
-    n = h.n
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise ValueError(f"vertices must be in [1, {n}]")
-    return float(_bellman_rounds(h, u, k)[k, v])
+    _check_query(h, u, v, k)
+    return float(_hop_rounds(h.n, _arcs(h.graph), u, k)[0][v])
 
 
 def extract_bounded_path(h: GeometricGraph, u: int, v: int, k: int) -> list[int]:
     """A path u..v of at most k edges achieving bounded_hop_distance, found by
-    exact backtracking over the relaxation rounds. Raises if v is unreachable
+    backtracking the rounds' predecessor arcs. Raises if v is unreachable
     within k hops."""
-    if k < 1:
-        raise ValueError(f"hop bound must be >= 1, got {k}")
-    rounds = _bellman_rounds(h, u, k)
-    if not np.isfinite(rounds[k, v]):
+    _check_query(h, u, v, k)
+    edges = _arcs(h.graph)
+    d, preds = _hop_rounds(h.n, edges, u, k, paths=True)
+    if not np.isfinite(d[v]):
         raise ValueError(f"no path of at most {k} hops from {u} to {v}")
-    wmap = h.graph.edge_weight_map()
-    nbr: dict[int, list[tuple[int, float]]] = {}
-    for (a, b), w in wmap.items():
-        nbr.setdefault(a, []).append((b, w))
-        nbr.setdefault(b, []).append((a, w))
     path = [v]
-    r, cur = k, v
-    while cur != u:
-        if rounds[r - 1, cur] == rounds[r, cur]:
-            r -= 1  # the last round added nothing for this vertex
-            continue
-        for w_vertex, wt in nbr.get(cur, ()):
-            if rounds[r - 1, w_vertex] + wt == rounds[r, cur]:
-                path.append(w_vertex)
-                cur = w_vertex
-                r -= 1
-                break
-        else:  # pragma: no cover - exact equality always finds the relaxed edge
-            raise AssertionError("backtracking failed")
+    for pred in reversed(preds):
+        arc = pred[path[-1]]
+        if arc >= 0:
+            path.append(int(edges[0][arc]))
     path.reverse()
     return path
 
 
 # ---------------------------------------------------------------------------
-# all-pairs stretch accounting (min-plus matrix powers)
+# all-pairs stretch accounting
 
-def _weight_matrix(h: GeometricGraph) -> np.ndarray:
-    n = h.n
-    w = np.full((n, n), np.inf)
-    np.fill_diagonal(w, 0.0)
-    i0 = h.graph.edge_i - 1
-    j0 = h.graph.edge_j - 1
-    w[i0, j0] = h.graph.weights
-    w[j0, i0] = h.graph.weights
-    return w
-
-
-def _minplus(a: np.ndarray, b: np.ndarray, want_mid: bool):
-    """Min-plus product, chunked by rows; optionally the minimizing midpoint."""
-    n = a.shape[0]
-    out = np.empty_like(a)
-    mid = np.empty((n, n), dtype=np.int32) if want_mid else None
-    chunk = max(1, (1 << 23) // (n * n))  # keep the (chunk, n, n) slab ~64 MB
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        cand = a[lo:hi, :, None] + b[None, :, :]  # (rows, mid, col)
-        if want_mid:
-            am = np.argmin(cand, axis=1)
-            mid[lo:hi] = am
-            out[lo:hi] = np.take_along_axis(cand, am[:, None, :], axis=1)[:, 0, :]
-        else:
-            out[lo:hi] = cand.min(axis=1)
-    return out, mid
-
-
-def bounded_hop_matrix(h: GeometricGraph, k: int) -> np.ndarray:
-    """(n, n) matrix of bounded_hop_distance for all pairs at hop budget k."""
+def _stretch_rows(h: GeometricGraph, coords: np.ndarray, eps: float, k: int):
+    """Yield (u, bad) for every source u < n, where bad[j] says vertex
+    u + 1 + j has no <=k-hop path within (1+eps) times its distance to u."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if k < 1:
         raise ValueError(f"hop bound must be >= 1, got {k}")
-    d = _weight_matrix(h)
-    result = None
-    power = d
-    kk = min(k, max(1, h.n - 1))
-    while True:
-        if kk & 1:
-            result = power if result is None else _minplus(result, power, False)[0]
-        kk >>= 1
-        if kk == 0:
-            break
-        power = _minplus(power, power, False)[0]
-    return result
-
-
-def four_hop_paths_resummed(h: GeometricGraph):
-    """For every pair, the best <=4-hop distance plus a re-summation of one
-    explicit path achieving it (u -> a -> m -> b -> v with degenerate hops
-    collapsing onto the diagonal). Returns (d4, resummed); entries are only
-    meaningful where d4 is finite."""
-    w = _weight_matrix(h)
-    d2, m2 = _minplus(w, w, True)
-    d4, m4 = _minplus(d2, d2, True)
-    n = w.shape[0]
-    ii, jj = np.indices((n, n))
-    mid = m4
-    a = m2[ii, mid]
-    b = m2[mid, jj]
-    resummed = w[ii, a] + w[a, mid] + w[mid, b] + w[b, jj]
-    return d4, resummed
-
-
-def _stretch_failures(h: GeometricGraph, dist: np.ndarray, eps: float,
-                      k: int) -> np.ndarray:
-    bad = bounded_hop_matrix(h, k) > (1.0 + eps) * dist
-    return np.triu(bad, k=1)
+    edges = _arcs(h.graph)
+    for u in range(1, h.n):
+        d = _hop_rounds(h.n, edges, u, k)[0]
+        dist = np.linalg.norm(coords[u:] - coords[u - 1], axis=1)
+        yield u, d[u + 1:] > (1.0 + eps) * dist
 
 
 def stretch_failure_mask(h: GeometricGraph, eps: float, k: int) -> np.ndarray:
     """Upper-triangular boolean matrix: True where no <=k-hop path of length
     <= (1+eps)*|uv| exists. Uses normalized coordinates."""
-    return _stretch_failures(h, h.points.distance_matrix(), eps, k)
+    bad = np.zeros((h.n, h.n), dtype=bool)
+    for u, row in _stretch_rows(h, h.points.coords, eps, k):
+        bad[u - 1, u:] = row
+    return bad
 
 
 def count_stretch_failures(h: GeometricGraph, points: PointSet, eps: float,
@@ -349,4 +311,5 @@ def count_stretch_failures(h: GeometricGraph, points: PointSet, eps: float,
     (1+eps) times their Euclidean distance; exact over all pairs."""
     if points.n != h.n:
         raise ValueError("point set does not match the graph")
-    return int(_stretch_failures(h, points.distance_matrix(), eps, k).sum())
+    rows = _stretch_rows(h, points.coords, eps, k)
+    return sum(int(row.sum()) for _, row in rows)

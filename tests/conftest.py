@@ -42,6 +42,20 @@ def random_edge_subset(n: int, rng: np.random.Generator) -> set:
     return {e for e, keep in zip(universe, mask) if keep}
 
 
+def dense_hop_distances(g, k: int) -> np.ndarray:
+    """(n, n) cheapest walk lengths of at most k edges over g's weight table,
+    by k dense min-plus rounds; O(k n^3) time and memory, small n only."""
+    n = g.n
+    w = np.full((n, n), np.inf)
+    w[g.edge_i - 1, g.edge_j - 1] = g.weights
+    w[g.edge_j - 1, g.edge_i - 1] = g.weights
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for _ in range(k):
+        d = np.minimum(d, (d[:, :, None] + w[None, :, :]).min(axis=1))
+    return d
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(0xDE5B)

@@ -11,16 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_edge_subsets, brute_deficiency
+from conftest import all_edge_subsets, brute_deficiency, dense_hop_distances
 from depspan import (GeometricGraph, PointSet, RankGraph,
                      bipartite_connector, build_lso_family, complete_graph,
-                     count_stretch_failures, deficiency, derive_stream,
-                     expected_two_hop_deficiency, extract_bounded_path,
-                     family_size_bound, filter_edges, four_hop_spanner,
-                     khop_deficiency, locality_witness,
+                     count_stretch_failures, deficiency, derive_seed,
+                     derive_stream, expected_two_hop_deficiency,
+                     extract_bounded_path, family_size_bound, filter_edges,
+                     four_hop_spanner, khop_deficiency, locality_witness,
                      monte_carlo_deficiency, euclidean_dependable_spanner,
                      two_hop_hierarchy)
-from depspan.euclid import four_hop_paths_resummed
+from depspan.euclid import _arcs, _hop_rounds
 from depspan.experiments import (ExperimentConfig, check_experiment,
                                  experiment_csv, run_experiment)
 
@@ -247,37 +247,56 @@ def test_c12_euclidean_filtered_behavior():
     # n=512, d=2, eps=0.25, psi=0.5, 10 trials: failed fraction < 25%, and
     # every surviving pair's extracted <=4-hop path re-sums to its reported
     # length and stays within (1+eps)|uv| (1e-9 relative tolerance)
-    eps, psi = 0.25, 0.5
-    pts = _uniform_points(512, 2, 120001)
+    t0 = time.perf_counter()
+    eps, psi, n = 0.25, 0.5, 512
+    pts = _uniform_points(n, 2, 120001)
     built = euclidean_dependable_spanner(pts, eps, psi, seed=120002)
-    dist = pts.distance_matrix()
-    iu = np.triu_indices(512, 1)
     worst_frac = 0.0
     violations = 0
     for t in range(10):
         h = GeometricGraph(filter_edges(built.graph, psi,
                                         derive_stream(120003, t)), pts)
-        d4, resummed = four_hop_paths_resummed(h)
-        failed = d4[iu] > (1.0 + eps) * dist[iu]
-        worst_frac = max(worst_frac, float(failed.mean()))
-        good = ~failed
-        r, dd = resummed[iu][good], d4[iu][good]
-        violations += int((np.abs(r - dd) > 1e-9 * dd).sum())
-        violations += int((r > (1.0 + eps) * dist[iu][good] * (1 + 1e-9)).sum())
+        edges = _arcs(h.graph)
+        tail, w = edges[:2]
+        failed = 0
+        for u in range(1, n):
+            d, preds = _hop_rounds(n, edges, u, 4, paths=True)
+            dist = np.linalg.norm(pts.coords[u:] - pts.coords[u - 1], axis=1)
+            bad = d[u + 1:] > (1.0 + eps) * dist
+            failed += int(bad.sum())
+            # walk each surviving pair's path back through the predecessor
+            # arcs, summing its edge weights from the far end
+            good = np.flatnonzero(~bad)
+            targets = good + u + 1
+            cur, total = targets.copy(), np.zeros(good.size)
+            for pred in reversed(preds):
+                arc = pred[cur]
+                step = arc >= 0
+                total[step] += w[arc[step]]
+                cur[step] = tail[arc[step]]
+            dd = d[targets]
+            violations += int((cur != u).sum())
+            violations += int((np.abs(total - dd) > 1e-9 * dd).sum())
+            violations += int((total > (1.0 + eps) * dist[good]
+                               * (1 + 1e-9)).sum())
+        worst_frac = max(worst_frac, failed / math.comb(n, 2))
+    elapsed = time.perf_counter() - t0
     ok = worst_frac < 0.25 and violations == 0
-    _report("C12", ok, f"worst failed fraction {worst_frac:.2%} (<25%); "
-                       f"path soundness violations {violations} (need 0)")
+    _report("C12", ok, f"worst failed fraction {worst_frac:.4%} (<25%); "
+                       f"path soundness violations {violations} (need 0); "
+                       f"runtime {elapsed:.1f}s")
 
 
 def test_c12b_single_pair_extraction_matches():
-    # spot check the per-pair extractor against the all-pairs machinery
+    # spot check the per-pair extractor against a dense min-plus reference
+    # that shares no code with the library's engine
     pts = _uniform_points(96, 2, 121001)
     built = euclidean_dependable_spanner(pts, 0.25, 0.5, seed=121002,
                                          max_orderings=16)
     h = GeometricGraph(filter_edges(built.graph, 0.5, derive_stream(121003, 0)),
                        pts)
     wmap = h.graph.edge_weight_map()
-    d4, _ = four_hop_paths_resummed(h)
+    d4 = dense_hop_distances(h.graph, 4)
     for u, v in ((1, 50), (3, 77), (20, 90)):
         expected = float(d4[u - 1, v - 1])
         if not math.isfinite(expected):
@@ -286,7 +305,50 @@ def test_c12b_single_pair_extraction_matches():
         total = sum(wmap[(min(a, b), max(a, b))]
                     for a, b in zip(path, path[1:]))
         assert total == pytest.approx(expected, rel=1e-9)
-    _report("C12b", True, "per-pair extraction consistent with matrix engine")
+    _report("C12b", True, "per-pair extraction consistent with dense reference")
+
+
+def _sampled_failed_fraction(h: GeometricGraph, sources, eps: float) -> float:
+    n, coords = h.n, h.points.coords
+    edges = _arcs(h.graph)
+    failed = 0
+    for u in sources.tolist():
+        d = _hop_rounds(n, edges, u, 4)[0][1:]
+        dist = np.linalg.norm(coords - coords[u - 1], axis=1)
+        failed += int((d > (1.0 + eps) * dist).sum())
+    return failed / (sources.size * (n - 1))
+
+
+def test_c14_euclidean_ordering_beats_random_permutation():
+    # n=4096, d=2, eps=0.25, psi=0.5, one ordering: the filtered LSO union
+    # fails <= 1% of sampled (source, target) pairs at <=4 hops and
+    # (1+eps) stretch, and at most a tenth of what the same rank build
+    # fails when mapped through a random permutation instead of the ordering
+    t0 = time.perf_counter()
+    n, eps, psi, seed = 4096, 0.25, 0.5, 140002
+    pts = _uniform_points(n, 2, 140001)
+    sample = derive_stream(140003, 0).choice_without_replacement(n, 128)
+    sources = np.sort(sample) + 1
+    lso = euclidean_dependable_spanner(pts, eps, psi, seed=seed, max_orderings=1)
+    ranks = four_hop_spanner(n, psi, seed=derive_seed(seed, 0))
+    perm = derive_stream(140004, 0).choice_without_replacement(n, n) + 1
+    ci, cj = perm[ranks.edge_i - 1], perm[ranks.edge_j - 1]
+    control = RankGraph(n, ci, cj, np.linalg.norm(pts.coords[ci - 1]
+                                                  - pts.coords[cj - 1], axis=1))
+    fracs = {}
+    for name, g in (("lso", lso.graph), ("control", control)):
+        kept = filter_edges(g, psi, derive_stream(140005, 0))
+        fracs[name] = _sampled_failed_fraction(GeometricGraph(kept, pts),
+                                               sources, eps)
+    elapsed = time.perf_counter() - t0
+    ok = (fracs["lso"] <= 0.01 and fracs["lso"] <= fracs["control"] / 10
+          and elapsed <= 60.0)
+    pairs = math.comb(n, 2)
+    _report("C14", ok, f"density LSO {lso.graph.m / pairs:.3f}, random "
+                       f"permutation {control.m / pairs:.3f}; failed fraction "
+                       f"LSO {fracs['lso']:.4%} (<=1%) vs random permutation "
+                       f"{fracs['control']:.4%} (need >= 10x); "
+                       f"runtime {elapsed:.1f}s (<=60)")
 
 
 def test_c13_reproducibility():

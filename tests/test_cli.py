@@ -80,6 +80,14 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "build", "euclid", "--points", str(pfile),
                          "--eps", "0.25", "--psi", "0.5", "--max-orderings", "0")
     assert code == 2 and "max_orderings" in err and not out
+    gfile = tmp_path / "e.edges"
+    run(capsys, "build", "euclid", "--points", str(pfile), "--eps", "0.25",
+        "--psi", "0.5", "--max-orderings", "1", "--out", str(gfile))
+    for eps in ("nan", "inf", "-0.5"):
+        code, out, err = run(capsys, "verify-stretch", "--graph", str(gfile),
+                             "--points", str(pfile), "--eps", eps,
+                             "--hops", "4", "--check")
+        assert code == 2 and "eps" in err and not out, eps
 
 
 def test_build_euclid_and_verify_stretch(tmp_path, capsys):
@@ -100,6 +108,11 @@ def test_build_euclid_and_verify_stretch(tmp_path, capsys):
                        "--check")
     assert code in (0, 3)
     assert "stretch_failures=" in out
+    # the hop bound is clamped to n - 1 before anything is allocated
+    code, out, _ = run(capsys, "verify-stretch", "--graph", str(gfile),
+                       "--points", str(pfile), "--eps", "0.25",
+                       "--hops", "1000000")
+    assert code == 0 and "stretch_failures=" in out
 
 
 def test_lso_check_quick(capsys):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from depspan.euclid import (GeometricGraph, PointSet, _spread_ids,
-                            bounded_hop_distance, bounded_hop_matrix,
+from conftest import dense_hop_distances
+from depspan.euclid import (GeometricGraph, PointSet, _arcs, _hop_rounds,
+                            _spread_ids, bounded_hop_distance,
                             count_stretch_failures,
                             euclidean_dependable_spanner, extract_bounded_path,
-                            four_hop_paths_resummed, normalize_points,
-                            stretch_failure_mask)
+                            normalize_points, stretch_failure_mask)
 from depspan.graphs import RankGraph, filter_edges
 from depspan.lso import build_lso_family
 from depspan.rng import derive_seed, derive_stream
@@ -145,11 +145,16 @@ def test_bounded_hop_distance_basics():
                                              weights=[1.0, 1.0]),
                         h.points)
     assert math.isinf(bounded_hop_distance(g2, 1, 2, 1))
+    with pytest.raises(ValueError, match="no path"):
+        extract_bounded_path(g2, 1, 2, 1)
     assert bounded_hop_distance(g2, 1, 2, 2) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        bounded_hop_distance(h, 1, 2, 0)
-    with pytest.raises(ValueError):
-        bounded_hop_distance(h, 0, 2, 1)
+    for bad in ((1, 2, 0), (0, 2, 1), (1, 4, 1), (1, 0, 1), (4, 1, 1)):
+        for query in (bounded_hop_distance, extract_bounded_path):
+            with pytest.raises(ValueError, match="must be"):
+                query(h, *bad)
+    for u, v in ((0, 2), (2, 4), (-1, 1)):
+        with pytest.raises(ValueError, match="must be in"):
+            h.points.distance(u, v)
 
 
 def test_bounded_hop_direct_beats_detour():
@@ -160,21 +165,52 @@ def test_bounded_hop_direct_beats_detour():
     assert bounded_hop_distance(h, 1, 3, 2) == pytest.approx(1.9)
 
 
+def _engine_matrix(h, k):
+    edges = _arcs(h.graph)
+    return np.array([_hop_rounds(h.n, edges, u, k)[0][1:]
+                     for u in range(1, h.n + 1)])
+
+
+def _isolated_vertex_graph():
+    # vertex 5 has no edges; 1-2-3-4 is a path with a costly chord
+    ps = _pointset(5, 2, seed=3)
+    g = RankGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)],
+                             weights=[0.1, 0.2, 0.3, 0.9])
+    return GeometricGraph(g, ps)
+
+
+def test_hop_rounds_match_dense_reference():
+    ps = _pointset(20, 2, seed=11)
+    full = euclidean_dependable_spanner(ps, 0.25, 0.5, seed=3, max_orderings=4)
+    empty = GeometricGraph(RankGraph.from_edges(20, [], weights=[]), ps)
+    graphs = [GeometricGraph(filter_edges(full.graph, 0.4, derive_stream(5, 0)),
+                             ps), empty, _isolated_vertex_graph()]
+    for h in graphs:
+        for k in (1, 2, 3, 4, 6, h.n - 1):
+            ref = dense_hop_distances(h.graph, k)
+            assert np.array_equal(_engine_matrix(h, k), ref), k
+            bad = np.triu(ref > 1.25 * h.points.distance_matrix(), k=1)
+            assert np.array_equal(stretch_failure_mask(h, 0.25, k), bad), k
+            assert count_stretch_failures(h, h.points, 0.25, k) == bad.sum()
+
+
 def test_bounded_hop_monotone_and_converges(np_rng):
     ps = _pointset(24, 2, seed=7)
     full = euclidean_dependable_spanner(ps, 0.5, 0.5, seed=4, max_orderings=4)
     h = GeometricGraph(filter_edges(full.graph, 0.6, derive_stream(1, 0)), ps)
     m_prev = None
     for k in (1, 2, 4, 8, 23):
-        m = bounded_hop_matrix(h, k)
+        m = _engine_matrix(h, k)
         if m_prev is not None:
-            assert (m <= m_prev + 1e-15).all()
+            assert (m <= m_prev).all()
         m_prev = m
-    closure = bounded_hop_matrix(h, h.n - 1)
-    assert np.array_equal(m_prev, closure)
+    assert np.array_equal(m_prev, dense_hop_distances(h.graph, 60))
+    # the hop bound is clamped to n - 1, so a huge k allocates nothing extra
+    assert np.array_equal(_engine_matrix(h, 10 ** 9), m_prev)
+    assert (count_stretch_failures(h, ps, 0.1, 10 ** 9)
+            == count_stretch_failures(h, ps, 0.1, h.n - 1))
     u, v = 3, 17
-    assert bounded_hop_distance(h, u, v, 4) == pytest.approx(
-        float(bounded_hop_matrix(h, 4)[u - 1, v - 1]))
+    assert bounded_hop_distance(h, u, v, 4) == _engine_matrix(h, 4)[u - 1, v - 1]
 
 
 def test_extract_bounded_path_resums():
@@ -198,14 +234,24 @@ def test_extract_bounded_path_resums():
     assert checked > 10
 
 
-def test_four_hop_paths_resummed_matches_matrix():
+def test_four_hop_paths_resum_to_dense_reference():
     ps = _pointset(48, 2, seed=13)
     full = euclidean_dependable_spanner(ps, 0.25, 0.5, seed=5, max_orderings=8)
     h = GeometricGraph(filter_edges(full.graph, 0.5, derive_stream(2, 1)), ps)
-    d4, resummed = four_hop_paths_resummed(h)
-    finite = np.isfinite(d4)
-    assert np.allclose(resummed[finite], d4[finite], rtol=1e-9, atol=0)
-    assert np.array_equal(d4, bounded_hop_matrix(h, 4))
+    d4 = dense_hop_distances(h.graph, 4)
+    wmap = h.graph.edge_weight_map()
+    finite = 0
+    for u in range(1, 49):
+        for v in range(u + 1, 49):
+            if not math.isfinite(d4[u - 1, v - 1]):
+                continue
+            path = extract_bounded_path(h, u, v, 4)
+            assert path[0] == u and path[-1] == v and len(path) <= 5
+            total = sum(wmap[(min(a, b), max(a, b))]
+                        for a, b in zip(path, path[1:]))
+            assert total == d4[u - 1, v - 1]
+            finite += 1
+    assert finite > 0
 
 
 def test_count_stretch_failures_extremes():
@@ -220,6 +266,11 @@ def test_count_stretch_failures_extremes():
                                      np.zeros(0, np.int32),
                                      np.zeros(0, np.float64)), ps)
     assert count_stretch_failures(empty, ps, 0.25, 4) == 16 * 15 // 2
+    for eps in (math.nan, math.inf, -math.inf, -0.01):
+        with pytest.raises(ValueError, match="eps"):
+            count_stretch_failures(h, ps, eps, 4)
+        with pytest.raises(ValueError, match="eps"):
+            stretch_failure_mask(h, eps, 4)
 
 
 def test_stretch_failures_monotone_under_edge_removal():
