@@ -138,6 +138,10 @@ def _cmd_verify_stretch(args) -> int:
 
 
 def _cmd_lso_check(args) -> int:
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
+    if args.n < 2:
+        raise ValueError(f"--n must be >= 2, got {args.n}")
     fam = build_lso_family(args.eps, args.d)
     stream = derive_stream(args.seed, 0)
     coords = stream.uniforms(args.n * args.d).reshape(args.n, args.d)

@@ -1,12 +1,16 @@
-"""Text formats for graphs and point sets, ASCII decimal: "n m", then m
-lines "i j" (rank graphs) or "i j w" (weighted), 1-based, i < j; or "n d",
-then n lines of d raw coordinates (normalized elsewhere, so that
-emit(parse(f)) == f). LF ends a line, other whitespace (CR included) splits
-tokens, blank lines are skipped, and errors name the physical line. Checks
-any RankGraph needs (duplicates, finite positive weights) are its own.
+"""Text formats for graphs and point sets, ASCII: "n m", then m lines "i j"
+(rank graphs) or "i j w" (weighted), 1-based, i < j; or "n d", then n lines
+of d raw coordinates (normalized elsewhere, so that emit(parse(f)) == f).
+numpy's reader parses the body (int64, float64, no "_" separators). LF ends
+a line, other whitespace (CR included) splits tokens, blank lines are
+skipped; a line scan runs only on a fault, so errors name the physical line.
+Checks any RankGraph needs (duplicates, finite positive weights) are its own.
 """
 
 from __future__ import annotations
+
+import io
+import re
 
 import numpy as np
 
@@ -15,8 +19,8 @@ from .graphs import RankGraph, _EdgeError
 __all__ = ["FormatError", "read_edge_list", "write_edge_list",
            "edge_list_text", "read_points", "write_points", "points_text"]
 
-_SPACE = np.array([chr(c).isspace() for c in range(128)])  # as str.split()
 _CHUNK_ROWS = 65536  # edges formatted per chunk of written text
+_EDGES = {w: np.dtype([("i", "i8"), ("j", "i8"), ("w", "f8")][:w]) for w in (2, 3)}
 
 
 class FormatError(ValueError):
@@ -30,37 +34,46 @@ def _fail(lineno: int, msg: str, text: str | None = None):
     raise FormatError(f"line {lineno}: {msg}")
 
 
-def _table(text: str, header: str):
-    """(a, b, lines, counts, tokens): the two header integers, the physical
-    line number and token count of each non-blank body line, and the body
-    tokens in file order. Counts come from a byte scan that splits exactly
-    where str.split() does, LF alone ending a line."""
+def _numbers(kind, tokens: list) -> bool:
+    """Whether numpy's reader takes all tokens as kind (np.int64, np.float64)."""
+    try:
+        [kind(t) for t in tokens]
+    except (ValueError, OverflowError):
+        return False
+    return not any("_" in t for t in tokens)
+
+
+def _read(text: str, header: str, dtype_of, ndmin: int):
+    """(a, b, rows): the header integers and the body by numpy's reader, in
+    dtype_of(first body line's token count); rows None where it fails."""
     if not text:
         raise FormatError("line 1: missing header")
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = np.concatenate(([True], _SPACE[raw]))  # a token starts after space
-    starts = np.flatnonzero(space[:-1] & ~space[1:])
-    bounds = np.concatenate(([0], np.flatnonzero(raw == 10) + 1, [raw.size]))
-    per_line = np.diff(np.searchsorted(starts, bounds))
-    tokens = text.split()
-    try:
-        a, b = map(int, tokens[:per_line[0]])
-    except ValueError:
+    raw = text.encode("ascii").replace(b"\r", b" ")  # CR splits tokens
+    line = text.partition("\n")[0]
+    if len(line.split()) != 2 or not _numbers(np.int64, line.split()):
         _fail(1, f"header must be two integers '{header}'", text)
-    body = np.flatnonzero(per_line[1:]) + 1
-    return a, b, body + 1, per_line[body], tokens[2:]
-
-
-def _column(text, lines, tokens, width, convert, dtype, what) -> np.ndarray:
-    """Bulk conversion; on failure, names the first rejected token's line."""
+    first = re.compile(r"\S[^\n]*").search(text, len(line) + 1)  # None: no body
+    dtype = dtype_of(len(first[0].split()) if first else 0)
     try:
-        return np.fromiter(map(convert, tokens), dtype, len(tokens))
-    except (ValueError, OverflowError):
-        for idx, tok in enumerate(tokens):
-            try:
-                np.array(convert(tok), dtype)
-            except (ValueError, OverflowError):
-                _fail(lines[idx // width], what, text)
+        rows = np.loadtxt(io.BytesIO(raw), dtype, comments=None, skiprows=1,
+                          ndmin=ndmin) if first else np.empty((0,) * ndmin, dtype)
+    except ValueError:
+        rows = None
+    return *map(int, line.split()), rows
+
+
+def _scan(text: str, count: int, noun: str, *checks, row=-1, msg="unreadable"):
+    """Raise for the first of: a line count other than count; a line failing
+    a check (test(tokens, first line's tokens), message); else body row `row`."""
+    body = [(k, tokens) for k, line in enumerate(text.split("\n")[1:], 2)
+            if (tokens := line.split())]
+    if len(body) != count:
+        raise FormatError(f"header promises {count} {noun}, file has {len(body)}")
+    for test, what in checks:
+        for k, tokens in body:
+            if not test(tokens, body[0][1]):
+                _fail(k, what, text)
+    _fail(body[row][0], msg, text)
 
 
 def read_edge_list(path) -> RankGraph:
@@ -69,32 +82,23 @@ def read_edge_list(path) -> RankGraph:
 
 
 def parse_edge_list(text: str) -> RankGraph:
-    n, m, lines, counts, tokens = _table(text, "n m")
+    n, m, rows = _read(text, "n m", lambda w: _EDGES.get(w, _EDGES[2]), 1)
     if n < 1:
         _fail(1, f"vertex count must be >= 1, got {n}")
-    if lines.size != m:
-        raise FormatError(f"header promises {m} edges, file has {lines.size}")
-    width = counts[0] if m else 2
-    bad = np.flatnonzero((counts != width) | (counts < 2) | (counts > 3))
-    if bad.size:
-        if counts[bad[0]] in (2, 3):
-            _fail(lines[bad[0]], "mixed weighted and unweighted edge lines")
-        _fail(lines[bad[0]], "expected 'i j' or 'i j w'", text)
-    weights = None
-    if width == 3:
-        weights = _column(text, lines, tokens[2::3], 1, float, np.float64,
-                          "weight must be a number")
-        del tokens[2::3]
-    ei, ej = _column(text, lines, tokens, 2, int, np.int64,
-                     "endpoints must be integers").reshape(m, 2).T
+    if rows is None or rows.size != m:
+        _scan(text, m, "edges",
+              (lambda t, _: 2 <= len(t) <= 3, "expected 'i j' or 'i j w'"),
+              (lambda t, f: len(t) == len(f), "mixed weighted and unweighted edge lines"),
+              (lambda t, _: _numbers(np.float64, t[2:]), "weight must be a number"),
+              (lambda t, _: _numbers(np.int64, t[:2]), "endpoints must be integers"))
+    ei, ej = rows["i"], rows["j"]
     bad = np.flatnonzero((ei < 1) | (ei >= ej) | (ej > n))
-    if bad.size:
-        i, j = ei[bad[0]], ej[bad[0]]
-        _fail(lines[bad[0]], f"need 1 <= i < j <= {n}, got ({i}, {j})")
     try:
-        return RankGraph(n, ei, ej, weights)
+        if bad.size:
+            raise _EdgeError(f"need 1 <= i < j <= {n}", bad[0])
+        return RankGraph(n, ei, ej, rows["w"] if rows.dtype == _EDGES[3] else None)
     except _EdgeError as exc:
-        _fail(lines[exc.row], str(exc))
+        _scan(text, m, "edges", row=exc.row, msg=str(exc))
 
 
 def _edge_list_chunks(g: RankGraph):
@@ -126,19 +130,15 @@ def read_points(path) -> np.ndarray:
 
 
 def parse_points(text: str) -> np.ndarray:
-    n, d, lines, counts, tokens = _table(text, "n d")
+    n, d, out = _read(text, "n d", lambda w: np.float64, 2)
     if n < 1 or d < 1:
         _fail(1, f"need n >= 1 and d >= 1, got n={n} d={d}")
-    if lines.size != n:
-        raise FormatError(f"header promises {n} points, file has {lines.size}")
-    bad = np.flatnonzero(counts != d)
-    if bad.size:
-        _fail(lines[bad[0]], f"expected {d} coordinates, got {counts[bad[0]]}")
-    out = _column(text, lines, tokens, d, float, np.float64,
-                  "coordinates must be numbers").reshape(n, d)
+    if out is None or out.shape != (n, d):
+        _scan(text, n, "points", (lambda t, _: len(t) == d, f"expected {d} coordinates"),
+              (lambda t, _: _numbers(np.float64, t), "coordinates must be numbers"))
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
-        _fail(lines[bad[0]], "coordinates must be finite", text)
+        _scan(text, n, "points", row=bad[0], msg="coordinates must be finite")
     return out
 
 

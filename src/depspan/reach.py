@@ -61,19 +61,10 @@ def _in_neighbor_slices(n: int, ei: np.ndarray, ej: np.ndarray):
 def straight_reachable(g: RankGraph, source: int) -> np.ndarray:
     """Boolean vector over ranks: entry j is True iff a straight path
     source = t_1 < ... < t_k = j exists. Indexed by rank; entries at
-    positions <= source are False. One forward sweep, O(|E|).
+    positions <= source are False. The finite entries of straight_hops.
     """
-    if not (1 <= source <= g.n):
-        raise ValueError(f"vertex {source} out of range [1, {g.n}]")
-    ik, lo, hi = _in_neighbor_slices(g.n, g.edge_i, g.edge_j)
-    reach = np.zeros(g.n + 1, dtype=bool)
-    seen = np.zeros(g.n + 1, dtype=bool)
-    seen[source] = True
-    for j in range(source + 1, g.n + 1):
-        nb = ik[lo[j]:hi[j]]
-        if nb.size and seen[nb].any():
-            seen[j] = True
-            reach[j] = True
+    reach = np.isfinite(straight_hops(g, source))
+    reach[:source + 1] = False
     return reach
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -213,18 +213,9 @@ def bipartite_connector(x_block: tuple[int, int], y_block: tuple[int, int],
     return out
 
 
-def _biclique(x_block, y_block) -> np.ndarray:
-    xs, xe = x_block
-    ys, ye = y_block
-    x = np.repeat(np.arange(xs, xe + 1, dtype=np.int64), ye - ys + 1)
-    y = np.tile(np.arange(ys, ye + 1, dtype=np.int64), xe - xs + 1)
-    return np.stack([x, y], axis=1)  # x_block precedes y_block in _assemble
-
-
-def _assemble(n: int, dp: DerivedParams, seed: int | None,
-              full_biclique: bool) -> RankGraph:
-    """Interval graph plus the block hierarchy with biclique or connector
-    cross edges; deduplicated."""
+def _assemble(n: int, dp: DerivedParams, seed: int) -> RankGraph:
+    """Interval graph plus the block hierarchy with connector cross edges;
+    deduplicated."""
     base = interval_graph(n, dp.radius)
     parts = [np.stack([base.edge_i, base.edge_j], axis=1)]
     partition = block_partition(n, dp.block_size)
@@ -233,11 +224,8 @@ def _assemble(n: int, dp: DerivedParams, seed: int | None,
         for bi, bj in two_hop_hierarchy(1, nb):
             x = partition.bounds[bi - 1]
             y = partition.bounds[bj - 1]
-            if full_biclique:
-                parts.append(_biclique(x, y))
-            else:
-                stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
-                parts.append(bipartite_connector(x, y, dp.connector_rate, stream))
+            stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
+            parts.append(bipartite_connector(x, y, dp.connector_rate, stream))
     allp = np.concatenate(parts, axis=0)
     return _edge_union(n, allp[:, 0], allp[:, 1])
 
@@ -250,7 +238,8 @@ def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:
     """
     SpannerParams(n=n, psi=psi, c7=c7)
     dp = DerivedParams.for_four_hop(n, psi, c7)
-    return _assemble(n, dp, None, full_biclique=True)
+    # uniforms lie in [0, 1), so rate 1 keeps every cross pair for any seed
+    return _assemble(n, replace(dp, connector_rate=1.0), 0)
 
 
 def four_hop_spanner(n: int, psi: float, c7: float = 4.0, seed: int = 0) -> RankGraph:
@@ -263,7 +252,7 @@ def four_hop_spanner(n: int, psi: float, c7: float = 4.0, seed: int = 0) -> Rank
     """
     SpannerParams(n=n, psi=psi, c7=c7, seed=seed)
     dp = DerivedParams.for_four_hop(n, psi, c7)
-    return _assemble(n, dp, seed, full_biclique=False)
+    return _assemble(n, dp, seed)
 
 
 def khop_spanner(n: int, psi: float, k: int, c7: float = 4.0, seed: int = 0) -> RankGraph:
@@ -276,4 +265,4 @@ def khop_spanner(n: int, psi: float, k: int, c7: float = 4.0, seed: int = 0) -> 
     """
     SpannerParams(n=n, psi=psi, k=k, c7=c7, seed=seed)
     dp = DerivedParams.for_k_hop(n, psi, k, c7)
-    return _assemble(n, dp, seed, full_biclique=False)
+    return _assemble(n, dp, seed)

@@ -88,6 +88,9 @@ def test_validation_errors_exit_2(tmp_path, capsys):
                              "--points", str(pfile), "--eps", eps,
                              "--hops", "4", "--check")
         assert code == 2 and "eps" in err and not out, eps
+    for bad in (["--pairs", "0"], ["--pairs", "-3", "--check"], ["--n", "1"]):
+        code, out, err = run(capsys, "lso-check", "--d", "2", "--eps", "0.5", *bad)
+        assert code == 2 and f"{bad[0]} must be" in err and not out, bad
 
 
 def test_build_euclid_and_verify_stretch(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
     ("0 0\n", "line 1: vertex count"),
     ("5 1\n1 2 inf\n", "line 2: .*finite"),
     ("5 2\n1 2 1.0\n2 3 nan\n", "line 3: .*finite"),
+    # numpy's number grammar: decimal int64 endpoints, no "_" separators
+    ("5 1\n1 0x3\n", "line 2: endpoints must be integers"),
+    ("5 1\n1.0 2\n", "line 2: endpoints must be integers"),
+    ("5 1\n1 1e0\n", "line 2: endpoints must be integers"),
+    ("5 1\n1 99999999999999999999\n", "line 2: endpoints must be integers"),
+    ("20 1\n1 1_0\n", "line 2: endpoints must be integers"),
+    ("5 1\n1 2 1_0\n", "line 2: weight must be a number"),
+    ("1_0 0\n", "line 1: header"),
 ])
 def test_edge_list_errors(text, message):
     with pytest.raises(FormatError, match=message):
@@ -82,6 +91,7 @@ def test_edge_list_errors(text, message):
     "5 2\r\n1 2\r\n2 4\r\n",                       # CRLF
     "5 2\n1\t2\n\t2\t 4\t\n",                      # tab-separated
     "5 2\n\n1\x0b2\x0c\n\r\n2\x1c\x1d\x1e\x1f4\n\n",  # every other separator
+    "5 2\n1\r2\n2\r4\n",                           # a bare CR splits tokens
 ])
 def test_edge_list_whitespace_accepted(text):
     assert parse_edge_list(text) == RankGraph.from_edges(5, [(1, 2), (2, 4)])
@@ -106,28 +116,6 @@ def test_points_round_trip(tmp_path):
     assert points_text(back) == path.read_text()
 
 
-def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
-    # chunk boundaries fall mid-list and on its end; the text is one line per
-    # edge, the same from edge_list_text, write_edge_list and CLI stdout
-    monkeypatch.setattr(fileio, "_CHUNK_ROWS", 3)
-    weighted = RankGraph.from_edges(6, [(1, 2), (1, 5), (2, 6), (3, 4), (4, 6), (5, 6)],
-                                    weights=[0.5, 1 / 3, 2.0, 1e-300, 7.25, 0.1])
-    for g in (complete_graph(4), complete_graph(5), weighted):
-        rows = [f"{g.n} {g.m}"]
-        for t, (i, j) in enumerate(zip(g.edge_i.tolist(), g.edge_j.tolist())):
-            rows.append(f"{i} {j}" if g.weights is None
-                        else f"{i} {j} {float(g.weights[t])!r}")
-        want = "\n".join(rows) + "\n"
-        assert edge_list_text(g) == want
-        path = tmp_path / "g.edges"
-        write_edge_list(g, path)
-        assert path.read_bytes() == want.encode()
-    out = io.StringIO()
-    monkeypatch.setattr("sys.stdout", out)
-    assert main(["gen-clique", "--n", "5"]) == 0
-    assert out.getvalue() == edge_list_text(complete_graph(5))
-
-
 @pytest.mark.parametrize("text,message", [
     ("", "missing header"),
     ("2\n", "header"),
@@ -137,7 +125,31 @@ def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
     ("2 1\n\n0.5\nzz\n", "line 4: coordinates must be numbers"),
     ("3 1\n0\nnan\n1\n", "line 3: coordinates must be finite"),
     ("2 2\n0 0\n-inf 1\n", "line 3: coordinates must be finite"),
+    ("1 1\n0_5\n", "line 2: coordinates must be numbers"),
+    ("1 1_0\n", "line 1: header"),
 ])
 def test_points_errors(text, message):
     with pytest.raises(FormatError, match=message):
         parse_points(text)
+
+
+@pytest.mark.parametrize("parse,text,want", [
+    (parse_edge_list, "5 1\n1\r2\n", RankGraph.from_edges(5, [(1, 2)])),
+    (parse_edge_list, "5 0\n", RankGraph.from_edges(5, [])),
+    (parse_points, "2 2\n0\r1\n0.5 0.5\n", np.array([[0.0, 1.0], [0.5, 0.5]])),
+])
+def test_text_accepted_without_warnings(parse, text, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = parse(text)
+    assert np.array_equal(got, want) if parse is parse_points else got == want
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_edge_list, "5 1\n1\xa02\n"),    # NBSP, which str.split() splits on
+    (parse_points, "1 2\n0\xa00.5\n"),
+    (parse_edge_list, "5\xa00\n"),
+])
+def test_non_ascii_text_rejected(parse, text):
+    with pytest.raises(UnicodeEncodeError):
+        parse(text)

@@ -175,9 +175,9 @@ def test_biclique_block_spanner_two_blocks_hand_trace():
     assert 2 <= 200 // dp.block_size < 3
     g = biclique_block_spanner(200, 0.5, 6.0)
     base = interval_graph(200, dp.radius)
-    from depspan.spanners1d import _biclique, block_partition as bp
-    blocks = bp(200, dp.block_size).bounds
-    expected = base.edge_set() | {tuple(e) for e in _biclique(blocks[0], blocks[1])}
+    (xs, xe), (ys, ye) = block_partition(200, dp.block_size).bounds[:2]
+    expected = base.edge_set() | {(x, y) for x in range(xs, xe + 1)
+                                  for y in range(ys, ye + 1)}
     assert g.edge_set() == expected
 
 
