@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+def _check_constant(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"constant {name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class SpannerParams:
     """Inputs shared by the few-hop constructions."""
@@ -58,8 +63,8 @@ class SpannerParams:
             raise ValueError(f"survival probability must be in (0, 1], got {self.psi}")
         if self.k < 3:
             raise ValueError(f"hop budget must be >= 3, got {self.k}")
-        if self.c6 <= 0 or self.c7 <= 0:
-            raise ValueError("constants c6 and c7 must be positive")
+        for name in ("c6", "c7"):
+            _check_constant(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,7 @@ class DerivedParams:
         if k < 3:
             raise ValueError(f"hop budget must be >= 3, got {k}")
         nu = psi ** (-1.0 / (k - 1))
-        block = min(n, math.ceil((c7 * nu / psi) * math.log(n)))
-        block = max(1, block)
+        block = max(1, min(n, math.ceil((c7 * nu / psi) * math.log(n))))
         mult = (k + 4) if radius_multiplier is None else radius_multiplier
         radius = min(mult * block, n - 1)
         rate = min(1.0, c7 * c7 * nu / (psi * block))
@@ -123,12 +127,9 @@ def block_partition(n: int, size: int) -> BlockPartition:
     if not (1 <= size):
         raise ValueError(f"block size must be >= 1, got {size}")
     nb = max(1, n // size)
-    bounds = []
-    for b in range(nb):
-        start = b * size + 1
-        end = (b + 1) * size if b < nb - 1 else n
-        bounds.append((start, end))
-    return BlockPartition(n=n, requested_size=size, bounds=tuple(bounds))
+    bounds = tuple((b * size + 1, (b + 1) * size if b < nb - 1 else n)
+                   for b in range(nb))
+    return BlockPartition(n=n, requested_size=size, bounds=bounds)
 
 
 def interval_radius(n: int, psi: float, c6: float = 4.0) -> int:
@@ -138,8 +139,7 @@ def interval_radius(n: int, psi: float, c6: float = 4.0) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if not (0.0 < psi <= 1.0):
         raise ValueError(f"survival probability must be in (0, 1], got {psi}")
-    if c6 <= 0:
-        raise ValueError(f"c6 must be positive, got {c6}")
+    _check_constant("c6", c6)
     return min(n - 1, math.ceil((c6 / psi) * math.log(n))) if n > 1 else 0
 
 
@@ -165,7 +165,7 @@ def two_hop_hierarchy(a: int, b: int) -> np.ndarray:
     """
     if a > b:
         raise ValueError(f"empty range [{a}, {b}]")
-    chunks = []
+    chunks = [np.empty((0, 2), dtype=np.int64)]
     stack = [(a, b)]
     while stack:
         lo, hi = stack.pop()
@@ -174,16 +174,12 @@ def two_hop_hierarchy(a: int, b: int) -> np.ndarray:
         mid = (lo + hi) // 2
         others = np.concatenate([np.arange(lo, mid, dtype=np.int64),
                                  np.arange(mid + 1, hi + 1, dtype=np.int64)])
-        pair = np.empty((others.size, 2), dtype=np.int64)
-        pair[:, 0] = np.minimum(others, mid)
-        pair[:, 1] = np.maximum(others, mid)
-        chunks.append(pair)
+        chunks.append(np.stack([np.minimum(others, mid),
+                                np.maximum(others, mid)], axis=1))
         if mid - 1 > lo:
             stack.append((lo, mid - 1))
         if hi > mid + 1:
             stack.append((mid + 1, hi))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(chunks, axis=0)
 
 
@@ -213,21 +209,25 @@ def bipartite_connector(x_block: tuple[int, int], y_block: tuple[int, int],
     return out
 
 
+def _connectors(n: int, dp: DerivedParams, seed: int) -> np.ndarray:
+    """The block hierarchy's connector edges, an (m, 2) array with i < j."""
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    blocks = block_partition(n, dp.block_size).bounds
+    nb = len(blocks)
+    for bi, bj in two_hop_hierarchy(1, nb):
+        stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
+        parts.append(bipartite_connector(blocks[bi - 1], blocks[bj - 1],
+                                         dp.connector_rate, stream))
+    return np.concatenate(parts, axis=0)
+
+
 def _assemble(n: int, dp: DerivedParams, seed: int) -> RankGraph:
     """Interval graph plus the block hierarchy with connector cross edges;
     deduplicated."""
     base = interval_graph(n, dp.radius)
-    parts = [np.stack([base.edge_i, base.edge_j], axis=1)]
-    partition = block_partition(n, dp.block_size)
-    nb = partition.count
-    if nb >= 2:
-        for bi, bj in two_hop_hierarchy(1, nb):
-            x = partition.bounds[bi - 1]
-            y = partition.bounds[bj - 1]
-            stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
-            parts.append(bipartite_connector(x, y, dp.connector_rate, stream))
-    allp = np.concatenate(parts, axis=0)
-    return _edge_union(n, allp[:, 0], allp[:, 1])
+    pairs = _connectors(n, dp, seed)
+    return _edge_union(n, np.concatenate([base.edge_i, pairs[:, 0]]),
+                       np.concatenate([base.edge_j, pairs[:, 1]]))
 
 
 def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:

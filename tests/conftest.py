@@ -42,6 +42,12 @@ def random_edge_subset(n: int, rng: np.random.Generator) -> set:
     return {e for e, keep in zip(universe, mask) if keep}
 
 
+def dense_distances(coords: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of coords."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
 def dense_hop_distances(g, k: int) -> np.ndarray:
     """(n, n) cheapest walk lengths of at most k edges over g's weight table,
     by k dense min-plus rounds; O(k n^3) time and memory, small n only."""

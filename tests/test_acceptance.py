@@ -234,13 +234,16 @@ def _uniform_points(n: int, d: int, seed: int) -> PointSet:
 def test_c11_euclidean_unfiltered_guarantee():
     # n=256, d=2, eps=0.25, four-hop mode, no failures: zero pairs lack a
     # <=4-hop path within (1+eps) stretch; build is deterministic
+    t0 = time.perf_counter()
     pts = _uniform_points(256, 2, 110001)
     h1 = euclidean_dependable_spanner(pts, 0.25, 1.0, seed=110002)
     h2 = euclidean_dependable_spanner(pts, 0.25, 1.0, seed=110002)
     failures = count_stretch_failures(h1, pts, 0.25, 4)
+    elapsed = time.perf_counter() - t0
     ok = failures == 0 and h1.graph == h2.graph
     _report("C11", ok, f"stretch failures {failures} (need 0); "
-                       f"deterministic rebuild {h1.graph == h2.graph}")
+                       f"deterministic rebuild {h1.graph == h2.graph}; "
+                       f"runtime {elapsed:.1f}s")
 
 
 def test_c12_euclidean_filtered_behavior():

@@ -91,6 +91,12 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     for bad in (["--pairs", "0"], ["--pairs", "-3", "--check"], ["--n", "1"]):
         code, out, err = run(capsys, "lso-check", "--d", "2", "--eps", "0.5", *bad)
         assert code == 2 and f"{bad[0]} must be" in err and not out, bad
+    for kind, flag in (("fourhop", "--c7"), ("interval", "--c6")):
+        for bad in ("inf", "nan"):
+            code, out, err = run(capsys, "build", kind, "--n", "64", "--psi",
+                                 "0.5", flag, bad)
+            assert code == 2 and f"constant {flag[2:]} must be finite" in err \
+                and not out, (kind, bad)
 
 
 def test_build_euclid_and_verify_stretch(tmp_path, capsys):

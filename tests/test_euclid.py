@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_hop_distances
+from conftest import dense_distances, dense_hop_distances
 from depspan.euclid import (GeometricGraph, PointSet, _arcs, _hop_rounds,
                             _spread_ids, bounded_hop_distance,
                             count_stretch_failures,
                             euclidean_dependable_spanner, extract_bounded_path,
                             normalize_points, stretch_failure_mask)
-from depspan.graphs import RankGraph, filter_edges
-from depspan.lso import build_lso_family
+from depspan import euclid
+from depspan.graphs import RankGraph, filter_edges, graph_union
+from depspan.lso import Ordering, OrderingFamily, build_lso_family
 from depspan.rng import derive_seed, derive_stream
 from depspan.spanners1d import four_hop_spanner
 
@@ -57,8 +58,9 @@ def test_pointset_validation():
         PointSet(np.array([[0.5, 0.5]]))          # n < 2
     with pytest.raises(ValueError):
         PointSet(np.array([[0.0, 0.0], [1.0, 0.5]]))  # coordinate at 1.0
-    with pytest.raises(ValueError):
-        PointSet(np.zeros((2, 2)) + 0.25, scale=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            PointSet(np.array([[0.25, 0.25], [0.5, 0.5]]), scale=bad)
 
 
 def test_geometric_graph_checks():
@@ -189,7 +191,7 @@ def test_hop_rounds_match_dense_reference():
         for k in (1, 2, 3, 4, 6, h.n - 1):
             ref = dense_hop_distances(h.graph, k)
             assert np.array_equal(_engine_matrix(h, k), ref), k
-            bad = np.triu(ref > 1.25 * h.points.distance_matrix(), k=1)
+            bad = np.triu(ref > 1.25 * dense_distances(h.points.coords), k=1)
             assert np.array_equal(stretch_failure_mask(h, 0.25, k), bad), k
             assert count_stretch_failures(h, h.points, 0.25, k) == bad.sum()
 
@@ -256,7 +258,7 @@ def test_four_hop_paths_resum_to_dense_reference():
 
 def test_count_stretch_failures_extremes():
     ps = _pointset(16, 2, seed=4)
-    dist = ps.distance_matrix()
+    dist = dense_distances(ps.coords)
     iu = np.triu_indices(16, 1)
     complete = RankGraph(16, (iu[0] + 1).astype(np.int32),
                          (iu[1] + 1).astype(np.int32), dist[iu])
@@ -298,3 +300,60 @@ def test_spanner_union_recount():
             edges.add((min(u, v), max(u, v)))
     assert h.graph.edge_set() == edges
     assert h.info["density"] == len(edges) / math.comb(n, 2) < 1.0
+
+
+class _ShiftFamily(OrderingFamily):
+    """The identity plus offset 0, path 0 of the first three shifts."""
+
+    def __len__(self):
+        return 4
+
+    def ordering(self, oid):
+        if oid == 0:
+            return super().ordering(0)
+        return Ordering(id=oid, dim=self.dim, grid=self.grid, shift_index=oid - 1,
+                        shift_count=self.shifts, offset=0, path=0)
+
+
+def test_spanner_whole_family_equals_graph_union(monkeypatch):
+    # max_orderings=None unions every member. Real d=1 families have
+    # thousands, whose union is K_n at any size a unit test can afford, so
+    # the build runs on a 4-member sub-family and stays sparse
+    monkeypatch.setattr(euclid, "build_lso_family", _ShiftFamily)
+    n, psi, c7, seed = 512, 0.5, 0.5, 8
+    pts = _pointset(n, 1, seed=8)
+    h = euclidean_dependable_spanner(pts, 0.25, psi, c7, seed=seed,
+                                     max_orderings=None)
+    fam = _ShiftFamily(0.25 / 8.0, 1)
+    assert h.info["orderings_used"] == len(fam) == 4
+    union = RankGraph(n, [], [])
+    for oid in range(len(fam)):
+        at = fam.sort_indices(fam.ordering(oid), pts.coords) + 1
+        sub = four_hop_spanner(n, psi, c7, seed=derive_seed(seed, oid))
+        union = graph_union(union, RankGraph(n, at[sub.edge_i - 1],
+                                             at[sub.edge_j - 1]))
+    assert np.array_equal(h.graph.edge_i, union.edge_i)
+    assert np.array_equal(h.graph.edge_j, union.edge_j)
+    assert h.info["density"] < 0.5
+
+
+def test_queries_share_one_arc_build(monkeypatch):
+    pts = _pointset(64, 2, seed=13)
+    built = euclidean_dependable_spanner(pts, 0.25, 0.5, seed=4, max_orderings=4)
+    kept = filter_edges(built.graph, 0.5, derive_stream(14, 0))
+
+    def queries(h):
+        return ([bounded_hop_distance(h, 1, v, 4) for v in (2, 30, 64)],
+                extract_bounded_path(h, 3, 40, 4),
+                count_stretch_failures(h, pts, 0.25, 4),
+                stretch_failure_mask(h, 0.25, 4).tolist())
+
+    expected = queries(GeometricGraph(kept, pts))
+    calls = []
+    build_arcs = euclid._arcs
+    monkeypatch.setattr(euclid, "_arcs",
+                        lambda g: calls.append(g) or build_arcs(g))
+    h = GeometricGraph(kept, pts)
+    assert queries(h) == expected
+    assert queries(h) == expected
+    assert len(calls) == 1

@@ -29,6 +29,15 @@ def test_spanner_params_validation():
         SpannerParams(n=10, psi=0.5, k=2)
     with pytest.raises(ValueError):
         SpannerParams(n=10, psi=0.5, c7=0.0)
+    # non-finite constants fail here, not as OverflowError from ceil()
+    for bad in (math.inf, math.nan, -1.0):
+        for name in ("c6", "c7"):
+            with pytest.raises(ValueError, match=f"constant {name} must be finite"):
+                SpannerParams(n=10, psi=0.5, **{name: bad})
+        with pytest.raises(ValueError, match="constant c7 must be finite"):
+            four_hop_spanner(64, 0.5, bad)
+        with pytest.raises(ValueError, match="constant c6 must be finite"):
+            interval_radius(64, 0.5, bad)
 
 
 def test_derived_params_four_hop():
@@ -203,6 +212,10 @@ def test_edge_lists_match_golden_hashes():
     band = RankGraph.from_edges(300, [(i, i + d) for i in range(1, 301)
                                       for d in (5, 10) if i + d <= 300])
     points = PointSet(np.random.default_rng(7).random((128, 2)) * 0.999)
+
+    def uniform(n, seed):
+        return PointSet(np.random.default_rng(seed).random((n, 2)) * 0.999)
+
     builds = {
         "four-hop": (lambda: four_hop_spanner(2048, 0.5, seed=1301),
                      "cce0cfc06b15c26339d27c998ab0a3bd04a440ecdd517af21a14410079ca28fe"),
@@ -215,6 +228,15 @@ def test_edge_lists_match_golden_hashes():
         "euclid": (lambda: euclidean_dependable_spanner(
                        points, 0.25, 0.5, seed=3, max_orderings=32).graph,
                    "f8d69c4e7872dda7ba15d14e73f78d4d5332cccfa1268f066403f164e1f85f6a"),
+        # "euclid" is K_n; these pin the order and dedup of sparse unions
+        # (densities 0.452 and 0.630)
+        "euclid-four-hop-sparse": (lambda: euclidean_dependable_spanner(
+                       uniform(2048, 11), 0.25, 0.5, seed=4, max_orderings=2).graph,
+                   "b187bc658b1e03808cc03551828802c15d2c4939a3843fe4f7b37f7756e8b569"),
+        "euclid-log-hop-sparse": (lambda: euclidean_dependable_spanner(
+                       uniform(1024, 12), 0.25, 0.5, c7=1.0, mode="log-hop", seed=5,
+                       max_orderings=8).graph,
+                   "6c5cf9df1652761d5001d7272a253e3828181ef1f8c4b14b69b3e175286150d4"),
     }
     for name, (build, expected) in builds.items():
         digest = hashlib.sha256(edge_list_text(build()).encode()).hexdigest()
