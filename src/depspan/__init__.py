@@ -14,11 +14,10 @@ from .reach import (DeficiencyReport, deficiency, expected_two_hop_deficiency,
                     khop_deficiency, khop_deficiency_split,
                     monte_carlo_deficiency, no_two_hop_probability,
                     straight_hops, straight_reachable)
-from .spanners1d import (BlockPartition, DerivedParams, SpannerParams,
-                         biclique_block_spanner, bipartite_connector,
-                         block_partition, dependable_interval_spanner,
-                         four_hop_spanner, interval_radius, khop_spanner,
-                         two_hop_hierarchy)
+from .spanners1d import (DerivedParams, biclique_block_spanner,
+                         bipartite_connector, block_partition,
+                         dependable_interval_spanner, four_hop_spanner,
+                         interval_radius, khop_spanner, two_hop_hierarchy)
 from .lso import (Ordering, OrderingFamily, build_lso_family, compare_points,
                   family_size_bound, locality_witness)
 from .euclid import (GeometricGraph, PointSet, bounded_hop_distance,
@@ -36,7 +35,7 @@ __all__ = [
     "DeficiencyReport", "straight_reachable", "straight_hops", "deficiency",
     "khop_deficiency", "khop_deficiency_split", "no_two_hop_probability",
     "expected_two_hop_deficiency", "monte_carlo_deficiency",
-    "SpannerParams", "DerivedParams", "BlockPartition", "interval_radius",
+    "DerivedParams", "interval_radius",
     "dependable_interval_spanner", "two_hop_hierarchy", "block_partition",
     "bipartite_connector", "biclique_block_spanner", "four_hop_spanner",
     "khop_spanner",

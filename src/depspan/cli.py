@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
-from .euclid import (count_stretch_failures, euclidean_dependable_spanner,
-                     normalize_points, DEFAULT_MAX_ORDERINGS)
+from .euclid import (DEFAULT_MAX_ORDERINGS, GeometricGraph,
+                     count_stretch_failures, euclidean_dependable_spanner,
+                     normalize_points)
 from .experiments import (ExperimentConfig, EXPERIMENT_NAMES, check_experiment,
                           render_csv, run_experiment)
 from .fileio import (FormatError, _edge_list_chunks, read_edge_list, read_points,
@@ -21,9 +23,8 @@ from .graphs import RankGraph, complete_graph, filter_edges
 from .lso import build_lso_family, family_size_bound, locality_witness
 from .reach import deficiency, khop_deficiency, monte_carlo_deficiency
 from .rng import derive_stream
-from .spanners1d import (DerivedParams, dependable_interval_spanner,
-                         four_hop_spanner, interval_radius, khop_spanner)
-from .euclid import GeometricGraph
+from .spanners1d import (DerivedParams, _assemble, dependable_interval_spanner,
+                         interval_radius)
 
 VALIDATION_ERROR = 2
 CHECK_FAILED = 3
@@ -60,24 +61,19 @@ def _cmd_build_interval(args) -> int:
     return 0
 
 
-def _cmd_build_fourhop(args) -> int:
-    g = four_hop_spanner(args.n, args.psi, args.c7, seed=args.seed)
-    dp = DerivedParams.for_four_hop(args.n, args.psi, args.c7)
+def _cmd_build_rank(args) -> int:
+    """build fourhop|khop; the sidecar reports the very parameters the graph
+    is built from."""
+    if args.construction == "fourhop":
+        dp, extra = DerivedParams.for_four_hop(args.n, args.psi, args.c7), {}
+    else:
+        dp = DerivedParams.for_k_hop(args.n, args.psi, args.k, args.c7)
+        extra = {"k": args.k}
+    g = _assemble(args.n, dp, args.seed)
     _write_graph(g, args.out)
     _write_sidecar(args.out, {
-        "construction": "fourhop", "n": args.n, "psi": args.psi,
-        "c7": args.c7, "seed": args.seed, "edges": g.m, **dp.as_dict(),
-    })
-    return 0
-
-
-def _cmd_build_khop(args) -> int:
-    g = khop_spanner(args.n, args.psi, args.k, args.c7, seed=args.seed)
-    dp = DerivedParams.for_k_hop(args.n, args.psi, args.k, args.c7)
-    _write_graph(g, args.out)
-    _write_sidecar(args.out, {
-        "construction": "khop", "n": args.n, "psi": args.psi, "k": args.k,
-        "c7": args.c7, "seed": args.seed, "edges": g.m, **dp.as_dict(),
+        "construction": args.construction, "n": args.n, "psi": args.psi,
+        "c7": args.c7, "seed": args.seed, "edges": g.m, **extra, **asdict(dp),
     })
     return 0
 
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c7", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_build_fourhop)
+    p.set_defaults(func=_cmd_build_rank)
 
     p = build.add_parser("khop", help="k-hop dependable exact spanner")
     p.add_argument("--n", type=int, required=True)
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c7", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_build_khop)
+    p.set_defaults(func=_cmd_build_rank)
 
     p = build.add_parser("euclid", help="Euclidean dependable (1+eps)-spanner")
     p.add_argument("--points", required=True)

@@ -15,7 +15,7 @@ import numpy as np
 from .graphs import RankGraph, interval_graph
 from .lso import build_lso_family
 from .rng import derive_seed
-from .spanners1d import DerivedParams, SpannerParams, _connectors
+from .spanners1d import DerivedParams, _connectors
 
 __all__ = [
     "PointSet",
@@ -183,17 +183,15 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
     n, d = points.n, points.dim
     if mode == "four-hop":
         fam = build_lso_family(eps / 8.0, d)
-        hop_budget = k_build = 4
+        dp = DerivedParams.for_four_hop(n, psi, c7)
+        hop_budget = 4
     elif mode == "log-hop":
         k_lso = max(1, math.ceil(math.log2(1.0 / psi)))
-        k_build = max(3, k_lso)
         fam = build_lso_family(min(0.5, eps / (2.0 * k_lso)), d)
+        dp = DerivedParams.for_k_hop(n, psi, max(3, k_lso), c7)
         hop_budget = 2 * k_lso
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'four-hop' or 'log-hop'")
-    SpannerParams(n=n, psi=psi, k=k_build, c7=c7)
-    dp = (DerivedParams.for_four_hop(n, psi, c7) if mode == "four-hop"
-          else DerivedParams.for_k_hop(n, psi, k_build, c7))
     ids = _spread_ids(len(fam), max_orderings)
     ei, ej = _mapped_union(n, points.coords, fam, ids, dp, seed)
     weights = np.linalg.norm(points.coords[ei] - points.coords[ej], axis=1)

@@ -15,8 +15,8 @@ from .graphs import complete_graph, filter_edges, interval_graph
 from .reach import (DeficiencyReport, _map_trials, expected_two_hop_deficiency,
                     khop_deficiency_split, monte_carlo_deficiency)
 from .rng import derive_seed, derive_stream
-from .spanners1d import (DerivedParams, dependable_interval_spanner,
-                         four_hop_spanner, interval_radius, khop_spanner)
+from .spanners1d import (DerivedParams, _assemble, _check_constant,
+                         dependable_interval_spanner, interval_radius)
 
 __all__ = [
     "ExperimentConfig",
@@ -76,6 +76,8 @@ class ExperimentConfig:
                                      f"not {self.name}")
         if any(k < 3 for k in self.ks):
             raise ValueError("hop budgets must be >= 3")
+        _check_constant("c6", self.c6)
+        _check_constant("c7", self.c7)
 
 
 def _fmt(x) -> str:
@@ -213,11 +215,11 @@ def experiment_hop_survival(cfg: ExperimentConfig):
         if k == 4:
             construction = "fourhop"
             dp = DerivedParams.for_four_hop(n, psi, cfg.c7)
-            g = four_hop_spanner(n, psi, cfg.c7, seed=build_seed)
         else:
             construction = "khop"
             dp = DerivedParams.for_k_hop(n, psi, k, cfg.c7)
-            g = khop_spanner(n, psi, k, cfg.c7, seed=build_seed)
+        # built from the same object the row reports
+        g = _assemble(n, dp, build_seed)
 
         def run(t: int):
             h = filter_edges(g, psi, derive_stream(mc_seed, t))

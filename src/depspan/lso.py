@@ -161,9 +161,13 @@ class OrderingFamily:
             raise ValueError("shift count must be odd")
         self.offsets = self.grid.bit_length() - 1
         self.paths = (self.grid ** self.dim) // 2
+        self._size = 1 + self.shifts * self.offsets * self.paths  # Python int
+        if self._size >= 2 ** 63:  # ordering ids are int64
+            raise ValueError(f"ordering family for eps={eps:g}, d={dim} has "
+                             f"{self._size} members, too many for int64 ids")
 
     def __len__(self) -> int:
-        return 1 + self.shifts * self.offsets * self.paths
+        return self._size
 
     def ordering(self, oid: int) -> Ordering:
         if not (0 <= oid < len(self)):

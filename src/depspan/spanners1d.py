@@ -12,6 +12,12 @@ Parameter formulas use natural logarithms throughout. Derived quantities:
     L   = 6M for the 4-hop construction, (k+4)M for the k-hop one, both
           clamped to n-1 (so small n degenerate to the complete graph)
     tau = min(1, c7^2 * nu / (psi * M))     bipartite connector rate
+
+DerivedParams.for_k_hop / for_four_hop are the one check of (n, psi, k, c7):
+n >= 2, psi in (0, 1], k >= 3, c7 finite and positive, raising ValueError
+in that order. Each build derives its parameters once; callers that report
+them (the CLI sidecar, the hop-survival CSV) pass that same object to
+_assemble, so the reported values are the ones the graph was built with.
 """
 
 from __future__ import annotations
@@ -26,9 +32,7 @@ from .graphs import RankGraph, _edge_union, interval_graph
 from .rng import RandomStream, derive_stream
 
 __all__ = [
-    "SpannerParams",
     "DerivedParams",
-    "BlockPartition",
     "interval_radius",
     "dependable_interval_spanner",
     "two_hop_hierarchy",
@@ -46,30 +50,9 @@ def _check_constant(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class SpannerParams:
-    """Inputs shared by the few-hop constructions."""
-
-    n: int
-    psi: float
-    k: int = 4
-    c6: float = 4.0
-    c7: float = 4.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if not (0.0 < self.psi <= 1.0):
-            raise ValueError(f"survival probability must be in (0, 1], got {self.psi}")
-        if self.k < 3:
-            raise ValueError(f"hop budget must be >= 3, got {self.k}")
-        for name in ("c6", "c7"):
-            _check_constant(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
 class DerivedParams:
-    """Quantities derived from (n, psi, k, c7); see module docstring."""
+    """Quantities derived from (n, psi, k, c7); see module docstring. The
+    constructors are the one place the rank builds' inputs are checked."""
 
     nu: float
     block_size: int
@@ -77,59 +60,38 @@ class DerivedParams:
     connector_rate: float
 
     @classmethod
-    def for_k_hop(cls, n: int, psi: float, k: int, c7: float,
-                  radius_multiplier: int | None = None) -> "DerivedParams":
+    def for_k_hop(cls, n: int, psi: float, k: int, c7: float) -> "DerivedParams":
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        if not (0.0 < psi <= 1.0):
+            raise ValueError(f"survival probability must be in (0, 1], got {psi}")
         if k < 3:
             raise ValueError(f"hop budget must be >= 3, got {k}")
+        _check_constant("c7", c7)
         nu = psi ** (-1.0 / (k - 1))
-        block = max(1, min(n, math.ceil((c7 * nu / psi) * math.log(n))))
-        mult = (k + 4) if radius_multiplier is None else radius_multiplier
-        radius = min(mult * block, n - 1)
-        rate = min(1.0, c7 * c7 * nu / (psi * block))
-        return cls(nu=nu, block_size=block, radius=radius, connector_rate=rate)
+        block = min(n, math.ceil((c7 * nu / psi) * math.log(n)))
+        return cls(nu=nu, block_size=block, radius=min((k + 4) * block, n - 1),
+                   connector_rate=min(1.0, c7 * c7 * nu / (psi * block)))
 
     @classmethod
     def for_four_hop(cls, n: int, psi: float, c7: float) -> "DerivedParams":
         # The 4-hop construction uses the tighter interval radius 6M.
-        return cls.for_k_hop(n, psi, 4, c7, radius_multiplier=6)
-
-    def as_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "block_size": self.block_size,
-            "radius": self.radius,
-            "connector_rate": self.connector_rate,
-        }
+        dp = cls.for_k_hop(n, psi, 4, c7)
+        return replace(dp, radius=min(6 * dp.block_size, n - 1))
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Consecutive rank intervals covering 1..n.
+def block_partition(n: int, size: int) -> tuple:
+    """Consecutive inclusive rank intervals ((start, end), ...) covering 1..n.
 
     All blocks have the requested size except the last, which absorbs any
     remainder (sizes stay below twice the requested size); when the requested
     size exceeds n there is a single block.
     """
-
-    n: int
-    requested_size: int
-    bounds: tuple  # ((start, end), ...) inclusive
-
-    @property
-    def count(self) -> int:
-        return len(self.bounds)
-
-    def sizes(self) -> list[int]:
-        return [e - s + 1 for s, e in self.bounds]
-
-
-def block_partition(n: int, size: int) -> BlockPartition:
     if not (1 <= size):
         raise ValueError(f"block size must be >= 1, got {size}")
     nb = max(1, n // size)
-    bounds = tuple((b * size + 1, (b + 1) * size if b < nb - 1 else n)
-                   for b in range(nb))
-    return BlockPartition(n=n, requested_size=size, bounds=bounds)
+    return tuple((b * size + 1, (b + 1) * size if b < nb - 1 else n)
+                 for b in range(nb))
 
 
 def interval_radius(n: int, psi: float, c6: float = 4.0) -> int:
@@ -212,7 +174,7 @@ def bipartite_connector(x_block: tuple[int, int], y_block: tuple[int, int],
 def _connectors(n: int, dp: DerivedParams, seed: int) -> np.ndarray:
     """The block hierarchy's connector edges, an (m, 2) array with i < j."""
     parts = [np.empty((0, 2), dtype=np.int64)]
-    blocks = block_partition(n, dp.block_size).bounds
+    blocks = block_partition(n, dp.block_size)
     nb = len(blocks)
     for bi, bj in two_hop_hierarchy(1, nb):
         stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
@@ -236,10 +198,9 @@ def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:
     Denser than the connector version by roughly a block-size factor; kept as
     the reference the sparse construction is measured against.
     """
-    SpannerParams(n=n, psi=psi, c7=c7)
-    dp = DerivedParams.for_four_hop(n, psi, c7)
     # uniforms lie in [0, 1), so rate 1 keeps every cross pair for any seed
-    return _assemble(n, replace(dp, connector_rate=1.0), 0)
+    return _assemble(n, replace(DerivedParams.for_four_hop(n, psi, c7),
+                                connector_rate=1.0), 0)
 
 
 def four_hop_spanner(n: int, psi: float, c7: float = 4.0, seed: int = 0) -> RankGraph:
@@ -250,9 +211,7 @@ def four_hop_spanner(n: int, psi: float, c7: float = 4.0, seed: int = 0) -> Rank
     tau, each sampled from its own derived stream indexed by the block pair,
     so the build is reproducible and order-independent.
     """
-    SpannerParams(n=n, psi=psi, c7=c7, seed=seed)
-    dp = DerivedParams.for_four_hop(n, psi, c7)
-    return _assemble(n, dp, seed)
+    return _assemble(n, DerivedParams.for_four_hop(n, psi, c7), seed)
 
 
 def khop_spanner(n: int, psi: float, k: int, c7: float = 4.0, seed: int = 0) -> RankGraph:
@@ -263,6 +222,4 @@ def khop_spanner(n: int, psi: float, k: int, c7: float = 4.0, seed: int = 0) -> 
     construction except for the interval radius constant ((k+4)M here, 6M
     there).
     """
-    SpannerParams(n=n, psi=psi, k=k, c7=c7, seed=seed)
-    dp = DerivedParams.for_k_hop(n, psi, k, c7)
-    return _assemble(n, dp, seed)
+    return _assemble(n, DerivedParams.for_k_hop(n, psi, k, c7), seed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -34,6 +35,28 @@ def test_build_fourhop_with_sidecar(tmp_path, capsys):
     run(capsys, "build", "fourhop", "--n", "256", "--psi", "0.5",
         "--seed", "3", "--out", str(out2))
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_rank_builds_and_hop_survival_match_golden_hashes(tmp_path, capsys):
+    # SHA-256 of the sidecars and the CSV, whose parameter values must be the
+    # ones the graph was built with
+    flags = ["--n", "700", "--psi", "0.4", "--c7", "3", "--seed", "9"]
+    for argv, expected in (
+            (["build", "fourhop", *flags],
+             "0f2ae59a9bd89d92565c43500c2f4aeba8c489753ca4a451606a258b7d12b612"),
+            (["build", "khop", *flags, "--k", "5"],
+             "05a6d48f09783c4e1b78aed0a2efdf3239fb163361fcb59be3bb38d2b331f42d")):
+        out = tmp_path / f"{argv[1]}.edges"
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        sidecar = (tmp_path / f"{argv[1]}.edges.json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == expected, argv[1]
+    csv = tmp_path / "hop.csv"
+    code, _, _ = run(capsys, "experiment", "hop-survival", "--n", "300,500",
+                     "--psi", "0.5,0.3", "--k", "3,4,6", "--trials", "3",
+                     "--seed", "4", "--out", str(csv))
+    assert code == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == \
+        "d8bcb5934555009447105470e9a856c1a63acf2f9ae8141cfc2c282da1892b62"
 
 
 def test_filter_then_deficiency_pipeline(tmp_path, capsys):
@@ -97,6 +120,23 @@ def test_validation_errors_exit_2(tmp_path, capsys):
                                  "0.5", flag, bad)
             assert code == 2 and f"constant {flag[2:]} must be finite" in err \
                 and not out, (kind, bad)
+    # constants are checked before any parameter is derived from them
+    for name, flag, bad in (("clique-scaling", "--c7", "-1"),
+                            ("sparse-failure", "--c6", "0"),
+                            ("hop-survival", "--c7", "inf"),
+                            ("hop-survival", "--c7", "nan")):
+        code, out, err = run(capsys, "experiment", name, "--n", "64", "--psi",
+                             "0.5", "--trials", "1", flag, bad)
+        assert code == 2 and f"constant {flag[2:]} must be finite" in err \
+            and not out, (name, bad)
+    # ordering families too large for int64 ids
+    p7 = tmp_path / "pts7.txt"
+    write_points(np.random.default_rng(4).random((8, 7)), p7)
+    code, out, err = run(capsys, "build", "euclid", "--points", str(p7),
+                         "--eps", "0.25", "--psi", "0.5")
+    assert code == 2 and "d=7 has" in err and not out
+    code, out, err = run(capsys, "lso-check", "--d", "13", "--eps", "0.5")
+    assert code == 2 and "d=13 has" in err and not out
 
 
 def test_build_euclid_and_verify_stretch(tmp_path, capsys):

@@ -33,6 +33,14 @@ def test_config_validation():
         for kw in ({"hops": 2}, {"source_samples": 4}):
             with pytest.raises(ValueError, match="only to clique-scaling"):
                 _cfg(name=name, **kw)
+    # constants are checked for every experiment, used or not
+    for name in ("clique-scaling", "spanner-vs-clique", "sparse-failure",
+                 "hop-survival"):
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            for const in ("c6", "c7"):
+                with pytest.raises(ValueError,
+                                   match=f"constant {const} must be finite"):
+                    _cfg(name=name, **{const: bad})
 
 
 def test_csv_is_deterministic_and_thread_invariant():

@@ -57,6 +57,14 @@ def test_build_validation():
         build_lso_family(0.6, 2)
     with pytest.raises(ValueError):
         build_lso_family(0.25, 0)
+    # ordering ids are int64: 2^70 and 2^72 members are refused up front
+    for eps, d in ((1 / 32, 7), (0.5, 13)):
+        with pytest.raises(ValueError, match=f"eps={eps:g}, d={d} has "
+                                             r"\d+ members, too many"):
+            build_lso_family(eps, d)
+    fam = build_lso_family(1 / 32, 6)  # 2.8e18 members still fit
+    assert len(fam) == 1 + 35 * 9 * 2 ** 53 < 2 ** 63
+    assert fam.ordering(len(fam) - 1).path == fam.paths - 1
 
 
 def test_family_deterministic_and_indexable():

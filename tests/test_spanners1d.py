@@ -9,35 +9,48 @@ from depspan.fileio import edge_list_text
 from depspan.graphs import RankGraph, filter_edges, graph_union, interval_graph
 from depspan.reach import deficiency, khop_deficiency, straight_hops
 from depspan.rng import derive_stream
-from depspan.spanners1d import (BlockPartition, DerivedParams, SpannerParams,
-                                biclique_block_spanner, bipartite_connector,
-                                block_partition, dependable_interval_spanner,
-                                four_hop_spanner, interval_radius,
-                                khop_spanner, two_hop_hierarchy)
+from depspan.spanners1d import (DerivedParams, biclique_block_spanner,
+                                bipartite_connector, block_partition,
+                                dependable_interval_spanner, four_hop_spanner,
+                                interval_radius, khop_spanner,
+                                two_hop_hierarchy)
 
 
-def test_spanner_params_validation():
-    SpannerParams(n=10, psi=0.5)
-    SpannerParams(n=10, psi=1.0)  # no-failure edge case is allowed
-    with pytest.raises(ValueError):
-        SpannerParams(n=1, psi=0.5)
-    with pytest.raises(ValueError):
-        SpannerParams(n=10, psi=1.5)
-    with pytest.raises(ValueError):
-        SpannerParams(n=10, psi=0.0)
-    with pytest.raises(ValueError):
-        SpannerParams(n=10, psi=0.5, k=2)
-    with pytest.raises(ValueError):
-        SpannerParams(n=10, psi=0.5, c7=0.0)
-    # non-finite constants fail here, not as OverflowError from ceil()
-    for bad in (math.inf, math.nan, -1.0):
-        for name in ("c6", "c7"):
-            with pytest.raises(ValueError, match=f"constant {name} must be finite"):
-                SpannerParams(n=10, psi=0.5, **{name: bad})
-        with pytest.raises(ValueError, match="constant c7 must be finite"):
-            four_hop_spanner(64, 0.5, bad)
+def test_derived_params_validation():
+    # DerivedParams is the one check; every rank builder goes through it
+    k_hop = (lambda n, psi, k=4, c7=4.0: DerivedParams.for_k_hop(n, psi, k, c7),
+             lambda n, psi, k=4, c7=4.0: khop_spanner(n, psi, k, c7))
+    four_hop = (lambda n, psi, c7=4.0: DerivedParams.for_four_hop(n, psi, c7),
+                lambda n, psi, c7=4.0: four_hop_spanner(n, psi, c7),
+                lambda n, psi, c7=4.0: biclique_block_spanner(n, psi, c7))
+    DerivedParams.for_four_hop(10, 0.5, 4.0)
+    DerivedParams.for_four_hop(10, 1.0, 4.0)  # no-failure edge case is allowed
+    for build in (*k_hop, *four_hop):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            build(1, 0.5)
+        # a ValueError, not ZeroDivisionError (0) or complex arithmetic (-0.5)
+        for psi in (1.5, 0.0, -0.5):
+            with pytest.raises(ValueError, match="survival probability"):
+                build(10, psi)
+        # non-finite constants fail here, not as OverflowError from ceil()
+        for bad in (0.0, math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="constant c7 must be finite"):
+                build(10, 0.5, c7=bad)
+    for build in k_hop:
+        with pytest.raises(ValueError, match="hop budget must be >= 3"):
+            build(10, 0.5, k=2)
+    # checked in the order n, psi, k, c7
+    with pytest.raises(ValueError, match="need n >= 2"):
+        DerivedParams.for_k_hop(1, 1.5, 2, math.nan)
+    with pytest.raises(ValueError, match="survival probability"):
+        DerivedParams.for_k_hop(64, 1.5, 2, math.nan)
+    with pytest.raises(ValueError, match="hop budget"):
+        DerivedParams.for_k_hop(64, 0.5, -1, math.nan)
+    for bad in (0.0, math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="constant c6 must be finite"):
             interval_radius(64, 0.5, bad)
+        with pytest.raises(ValueError, match="constant c6 must be finite"):
+            dependable_interval_spanner(10, 0.5, bad)
 
 
 def test_derived_params_four_hop():
@@ -122,21 +135,19 @@ def test_two_hop_hierarchy_general_range():
 
 
 def test_block_partition_examples():
-    p = block_partition(10, 3)
-    assert p.bounds == ((1, 3), (4, 6), (7, 10))
-    assert block_partition(9, 3).bounds == ((1, 3), (4, 6), (7, 9))
-    assert block_partition(5, 8).bounds == ((1, 5),)
+    assert block_partition(10, 3) == ((1, 3), (4, 6), (7, 10))
+    assert block_partition(9, 3) == ((1, 3), (4, 6), (7, 9))
+    assert block_partition(5, 8) == ((1, 5),)
 
 
 def test_block_partition_invariants():
     for n in (1, 5, 17, 100, 1023):
         for size in (1, 3, 7, 50):
-            p = block_partition(n, size)
-            assert isinstance(p, BlockPartition)
-            ranks = [r for s, e in p.bounds for r in range(s, e + 1)]
+            bounds = block_partition(n, size)
+            ranks = [r for s, e in bounds for r in range(s, e + 1)]
             assert ranks == list(range(1, n + 1))
-            sizes = p.sizes()
-            if p.count > 1:
+            sizes = [e - s + 1 for s, e in bounds]
+            if len(bounds) > 1:
                 assert all(sz == size for sz in sizes[:-1])
                 assert size <= sizes[-1] < 2 * size
 
@@ -184,7 +195,7 @@ def test_biclique_block_spanner_two_blocks_hand_trace():
     assert 2 <= 200 // dp.block_size < 3
     g = biclique_block_spanner(200, 0.5, 6.0)
     base = interval_graph(200, dp.radius)
-    (xs, xe), (ys, ye) = block_partition(200, dp.block_size).bounds[:2]
+    (xs, xe), (ys, ye) = block_partition(200, dp.block_size)[:2]
     expected = base.edge_set() | {(x, y) for x in range(xs, xe + 1)
                                   for y in range(ys, ye + 1)}
     assert g.edge_set() == expected
@@ -195,7 +206,7 @@ def test_biclique_block_spanner_recount():
     # bicliques, assembled with plain python sets
     n, psi, c7 = 512, 0.35, 2.0
     dp = DerivedParams.for_four_hop(n, psi, c7)
-    blocks = block_partition(n, dp.block_size).bounds
+    blocks = block_partition(n, dp.block_size)
     edges = {(i, j) for i in range(1, n + 1)
              for j in range(i + 1, min(i + dp.radius, n) + 1)}
     for bi, bj in two_hop_hierarchy(1, len(blocks)):

@@ -1,6 +1,10 @@
 import ast
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
+
+import depspan
 
 
 def test_no_test_module_defines_a_top_level_name_twice():
@@ -10,3 +14,13 @@ def test_no_test_module_defines_a_top_level_name_twice():
         names = Counter(node.name for node in tree.body if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         assert [n for n, c in names.items() if c > 1] == [], path.name
+
+
+def test_every_exported_name_is_defined():
+    # a half-deleted public name would otherwise only fail at import time of
+    # the code that uses it
+    for info in pkgutil.iter_modules(depspan.__path__):
+        mod = importlib.import_module(f"depspan.{info.name}")
+        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert missing == [], info.name
+    assert [n for n in depspan.__all__ if not hasattr(depspan, n)] == []
