@@ -7,12 +7,13 @@ single forward sweep. Two exact engines back the pair counts:
 * unbounded reachability: a bitset closure over a set of sources (all n, or a
   sample), one row of source bits per target vertex, filled in one ascending
   pass (row j ORs the rows of its in-neighbors);
-* hop-bounded reachability: boolean powers of I + A, stored as the upper
-  triangle of square float32 tiles and multiplied tile by tile with BLAS,
-  for every n. Memory is about 3 * (n^2 / 2) * 4 bytes plus one tile product.
+* hop-bounded reachability: boolean powers of I + A, stored as float32 row
+  panels that each hold their rows from the diagonal rightwards, and
+  multiplied panel by panel with BLAS, for every n. Memory is about
+  3 * (n^2 / 2) * 4 bytes plus one panel product.
 
 The test suite cross-checks both against brute-force path enumeration on
-small graphs, the hop-bounded engine also at tile sizes far below n.
+small graphs, the hop-bounded engine also at panel heights far below n.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "monte_carlo_deficiency",
 ]
 
-# Edge length of the square tiles of the hop-bounded engine (clamped to n).
+# Rows per panel of the hop-bounded engine.
 _TILE = 512
 
 _ONE = np.uint64(1)
@@ -119,83 +120,65 @@ def deficiency(g: RankGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# hop-bounded engine: blocked upper-triangular boolean matrix powers
+# hop-bounded engine: upper-triangular boolean matrix powers in row panels
 
-class _UpperTiles:
-    """The upper triangle of an n x n float32 matrix as square tiles (I, J),
-    I <= J, of edge `tile` (the last row and column of tiles are ragged),
-    packed into one flat buffer; tiles[I, J] is a view of it."""
-
-    def __init__(self, n: int, tile: int):
-        self.n, self.tile = n, tile
-        sizes = [min(tile, n - a) for a in range(0, n, tile)]
-        self.buf = np.zeros((n * n + sum(h * h for h in sizes)) // 2,
-                            dtype=np.float32)
-        self.offset = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
-        self.tiles = {}
-        at = 0
-        for I, h in enumerate(sizes):
-            for J in range(I, len(sizes)):
-                w = sizes[J]
-                self.offset[I, J] = at
-                self.tiles[I, J] = self.buf[at:at + h * w].reshape(h, w)
-                at += h * w
-
-    def scatter(self, r: np.ndarray, c: np.ndarray) -> None:
-        """Set the entries (r, c), 0-based with r <= c, to one."""
-        ti, tj = r // self.tile, c // self.tile
-        width = np.minimum(self.tile, self.n - tj * self.tile)
-        local = (r - ti * self.tile) * width + (c - tj * self.tile)
-        self.buf[self.offset[ti, tj] + local] = 1.0
-
-    def __matmul__(self, other: "_UpperTiles") -> "_UpperTiles":
-        """Boolean product: Z[I, J] = (sum_{K=I..J} X[I, K] @ Y[K, J]) > 0."""
-        z = _UpperTiles(self.n, self.tile)
-        for (I, J), out in z.tiles.items():
-            np.matmul(self.tiles[I, I], other.tiles[I, J], out=out)
-            for K in range(I + 1, J + 1):
-                out += self.tiles[I, K] @ other.tiles[K, J]
-            np.minimum(out, 1.0, out=out)  # entries are path counts >= 0
-        return z
-
-    def zeros_beyond(self, d: int) -> int:
-        """Number of zero entries (i, j) with j - i > d >= 0 (0-based)."""
-        # in tile (I, J), entry (a, b) has j - i = b - a + (J - I) * tile
-        return int(sum(
-            np.count_nonzero(np.triu(t == 0, d + 1 - (J - I) * self.tile))
-            for (I, J), t in self.tiles.items()))
+def _panel_product(x: list, y: list) -> list:
+    """Boolean product Z = (X @ Y) > 0 of two panel lists: panel I of Z is the
+    sum over K >= I of X's panel I, columns of panel K's rows, @ Y's panel K."""
+    z = []
+    for I, xp in enumerate(x):
+        out = xp[:, :_TILE] @ y[I]
+        for K in range(I + 1, len(y)):
+            off = (K - I) * _TILE
+            out[:, off:] += xp[:, off:off + _TILE] @ y[K]
+        np.minimum(out, 1.0, out=out)  # entries are path counts >= 0
+        z.append(out)
+    return z
 
 
-def _khop_power(n: int, ei: np.ndarray, ej: np.ndarray, k: int) -> _UpperTiles:
+def _zeros_beyond(panels: list, d: int) -> int:
+    """Number of zero entries (i, j) with j - i > d >= 0 of a panel list
+    (in every panel, entry (a, b) has j - i = b - a)."""
+    return int(sum(np.count_nonzero(np.triu(p == 0, d + 1)) for p in panels))
+
+
+def _khop_power(n: int, ei: np.ndarray, ej: np.ndarray, k: int) -> list:
     """(I + A)^k as a boolean matrix, for the edges (ei, ej) of a graph on n.
 
     A is strictly upper triangular, so every power of I + A is upper
     triangular and a zero entry above the diagonal is exactly a missing
-    <=k-hop path. Only the tiles (I, J) with I <= J are stored and only the
-    products X[I, K] @ Y[K, J] with I <= K <= J are formed. Square-and-multiply
-    holds at most three such matrices, so memory is about 3 * (n^2 / 2) * 4
-    bytes plus one tile product; no dense n x n matrix is allocated.
+    <=k-hop path. The matrix is a list of float32 row panels: panel p holds
+    rows s..s+h-1 and columns s..n-1, s = p * _TILE, h = min(_TILE, n - s),
+    so its entry (a, b) is entry (s + a, s + b) and b - a is the rank
+    distance. Square-and-multiply holds at most three such matrices, so
+    memory is about 3 * (n^2 / 2) * 4 bytes plus one panel product; no dense
+    n x n matrix is allocated.
     """
-    power = _UpperTiles(n, min(_TILE, n))
-    diag = np.arange(n)
-    power.scatter(diag, diag)
-    power.scatter(ei - 1, ej - 1)
+    r, c = ei - 1, ej - 1
+    band = r // _TILE
+    power = []
+    for p, s in enumerate(range(0, n, _TILE)):
+        panel = np.zeros((min(_TILE, n - s), n - s), dtype=np.float32)
+        np.fill_diagonal(panel, 1.0)
+        rows = band == p
+        panel[r[rows] - s, c[rows] - s] = 1.0
+        power.append(panel)
     result = None
     kk = min(k, max(1, n - 1))  # longer straight paths cannot exist
     while True:
         if kk & 1:
-            result = power if result is None else result @ power
+            result = power if result is None else _panel_product(result, power)
         kk >>= 1
         if kk == 0:
             return result
-        power = power @ power
+        power = _panel_product(power, power)
 
 
 def khop_deficiency(g: RankGraph, k: int) -> int:
     """Number of pairs i < j whose minimum straight hop count exceeds k."""
     if k < 1:
         raise ValueError(f"hop bound must be >= 1, got {k}")
-    return _khop_power(g.n, g.edge_i, g.edge_j, k).zeros_beyond(0)
+    return _zeros_beyond(_khop_power(g.n, g.edge_i, g.edge_j, k), 0)
 
 
 def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
@@ -206,8 +189,8 @@ def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     power = _khop_power(g.n, g.edge_i, g.edge_j, k)
-    long_fail = power.zeros_beyond(radius)
-    return power.zeros_beyond(0) - long_fail, long_fail
+    long_fail = _zeros_beyond(power, radius)
+    return _zeros_beyond(power, 0) - long_fail, long_fail
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +306,7 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
         keep = (stream.uniforms(g.m) < psi)[order]
         ik, jk = ib[keep], jb[keep]
         if hop_bound is not None:
-            return _khop_power(n, ik, jk, hop_bound).zeros_beyond(0)
+            return _zeros_beyond(_khop_power(n, ik, jk, hop_bound), 0)
         sources = (np.sort(stream.choice_without_replacement(n, source_sample) + 1)
                    if sampled else np.arange(1, n + 1))
         missing = (int((n - sources).sum())

@@ -42,10 +42,6 @@ class RandomStream:
         """Next `count` float64 values, uniform on [0, 1)."""
         return self._gen.random(count)
 
-    def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        """Next `count` integers, uniform on [low, high)."""
-        return self._gen.integers(low, high, size=count)
-
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct values from range(n)."""
         return self._gen.choice(n, size=k, replace=False)

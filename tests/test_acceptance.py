@@ -85,8 +85,9 @@ def test_c03_clique_scaling_theta_law():
 
 
 def test_c04_interval_spanner_near_optimal():
-    # paired 500-trial runs at n=1024, psi=0.5, c6=4: mean deficiency
-    # difference (spanner - clique) within 3*combined stderr + 1
+    # 500-trial runs at n=1024, psi=0.5, c6=4, one per graph (same streams,
+    # failures not coupled edge by edge): mean deficiency difference
+    # (spanner - clique) within 3*combined stderr + 1
     cfg = ExperimentConfig(name="spanner-vs-clique", ns=(1024,), psis=(0.5,),
                            trials=500, seed=44001, c6=4.0)
     columns, rows = run_experiment(cfg)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,10 +95,10 @@ def test_khop_matches_brute_force_exhaustive_n4():
             assert khop_deficiency(g, k) == brute_deficiency(4, edges, k)
 
 
-# Tile edges for the blocked k-hop engine: the default (one tile at these
-# sizes), and small ones whose last tiles are ragged and whose split masks
-# cross tile borders.
-_TILES = (reach._TILE, 4, 7)
+# Rows per panel for the k-hop engine: the default (one panel at these
+# sizes), small ones whose last panels are ragged and whose split masks cross
+# panel borders, and one-row panels.
+_TILES = (reach._TILE, 4, 7, 1)
 
 
 def test_khop_engines_agree_with_brute_force_sampled(np_rng, monkeypatch):
@@ -206,13 +207,36 @@ def test_monte_carlo_certain_cases():
     assert rep.mean_failed_pairs == 45.0 and rep.stderr == 0.0
 
 
-def test_monte_carlo_matches_filter_edges_coupling():
+def test_monte_carlo_matches_filter_edges_coupling(monkeypatch):
+    # Monte Carlo hands the engines its edges sorted by upper endpoint, not
+    # in canonical order; the counts must match filter_edges' graphs.
     g = interval_graph(40, 6)
     psi, master = 0.6, 91
-    rep = monte_carlo_deficiency(g, psi, 6, master=master)
-    expected = [deficiency(filter_edges(g, psi, derive_stream(master, t)))
-                for t in range(6)]
-    assert list(rep.per_trial_counts) == expected
+    graphs = [filter_edges(g, psi, derive_stream(master, t)) for t in range(6)]
+    for tile in _TILES:
+        monkeypatch.setattr(reach, "_TILE", tile)
+        for hop_bound in (None, 1, 2, 4):
+            rep = monte_carlo_deficiency(g, psi, 6, hop_bound=hop_bound,
+                                         master=master)
+            expected = [deficiency(h) if hop_bound is None
+                        else khop_deficiency(h, hop_bound) for h in graphs]
+            assert list(rep.per_trial_counts) == expected
+
+
+def test_khop_memory_stays_below_two_dense_matrices(monkeypatch):
+    # Three upper-triangular powers plus one panel product come to about
+    # 1.1-1.7 dense float32 n x n matrices; an engine holding two dense
+    # matrices fails.
+    monkeypatch.setattr(reach, "_TILE", 64)
+    g = filter_edges(interval_graph(1000, 8), 0.7, derive_stream(2, 0))
+    for k in (3, 4, 7):
+        tracemalloc.start()
+        try:
+            khop_deficiency(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * g.n * g.n * 4, (k, peak)
 
 
 def test_monte_carlo_deterministic_and_thread_invariant():
