@@ -23,7 +23,7 @@ from .lso import (Ordering, OrderingFamily, build_lso_family, compare_points,
 from .euclid import (GeometricGraph, PointSet, bounded_hop_distance,
                      count_stretch_failures, euclidean_dependable_spanner,
                      extract_bounded_path, normalize_points,
-                     stretch_failure_mask)
+                     stretch_failure_row)
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, check_experiment,
                           experiment_csv, run_experiment)
 
@@ -43,7 +43,7 @@ __all__ = [
     "locality_witness", "family_size_bound",
     "PointSet", "GeometricGraph", "normalize_points",
     "euclidean_dependable_spanner", "bounded_hop_distance",
-    "extract_bounded_path", "count_stretch_failures", "stretch_failure_mask",
+    "extract_bounded_path", "count_stretch_failures", "stretch_failure_row",
     "ExperimentConfig", "EXPERIMENT_NAMES", "run_experiment", "experiment_csv",
     "check_experiment",
 ]

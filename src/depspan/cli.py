@@ -11,6 +11,8 @@ import json
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__
 from .euclid import (DEFAULT_MAX_ORDERINGS, GeometricGraph,
                      count_stretch_failures, euclidean_dependable_spanner,
@@ -124,6 +126,14 @@ def _cmd_verify_stretch(args) -> int:
         return VALIDATION_ERROR
     pts = normalize_points(read_points(args.points))
     h = GeometricGraph(g, pts)
+    # the count trusts the weights, so each must be its points' distance
+    dist = np.linalg.norm(pts.coords[g.edge_i - 1] - pts.coords[g.edge_j - 1],
+                          axis=1)
+    off = np.flatnonzero(~(np.abs(g.weights - dist) <= 1e-9 * dist))
+    if off.size:
+        e = off[0]
+        raise ValueError(f"edge ({g.edge_i[e]}, {g.edge_j[e]}) has weight "
+                         f"{g.weights[e]:.17g}, not its distance {dist[e]:.17g}")
     failures = count_stretch_failures(h, pts, args.eps, args.hops)
     total = pts.n * (pts.n - 1) // 2
     print(f"pairs={total} hop_bound={args.hops} eps={args.eps:g} "

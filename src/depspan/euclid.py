@@ -25,7 +25,7 @@ __all__ = [
     "bounded_hop_distance",
     "extract_bounded_path",
     "count_stretch_failures",
-    "stretch_failure_mask",
+    "stretch_failure_row",
     "DEFAULT_MAX_ORDERINGS",
 ]
 
@@ -291,33 +291,23 @@ def extract_bounded_path(h: GeometricGraph, u: int, v: int, k: int) -> list[int]
 # ---------------------------------------------------------------------------
 # all-pairs stretch accounting
 
-def _stretch_rows(h: GeometricGraph, coords: np.ndarray, eps: float, k: int):
-    """Yield (u, bad) for every source u < n, where bad[j] says vertex
-    u + 1 + j has no <=k-hop path within (1+eps) times its distance to u."""
+def stretch_failure_row(h: GeometricGraph, u: int, eps: float,
+                        k: int) -> np.ndarray:
+    """Boolean vector over vertices 1..n: entry v - 1 is True where v has no
+    <=k-hop path from u of length <= (1+eps)|uv| (normalized coordinates)."""
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    if k < 1:
-        raise ValueError(f"hop bound must be >= 1, got {k}")
-    for u in range(1, h.n):
-        d = _hop_rounds(h.n, h.arcs, u, k)[0]
-        dist = np.linalg.norm(coords[u:] - coords[u - 1], axis=1)
-        yield u, d[u + 1:] > (1.0 + eps) * dist
-
-
-def stretch_failure_mask(h: GeometricGraph, eps: float, k: int) -> np.ndarray:
-    """Upper-triangular boolean matrix: True where no <=k-hop path of length
-    <= (1+eps)*|uv| exists. Uses normalized coordinates."""
-    bad = np.zeros((h.n, h.n), dtype=bool)
-    for u, row in _stretch_rows(h, h.points.coords, eps, k):
-        bad[u - 1, u:] = row
-    return bad
+    _check_query(h, u, u, k)
+    coords = h.points.coords
+    d = _hop_rounds(h.n, h.arcs, u, k)[0][1:]
+    return d > (1.0 + eps) * np.linalg.norm(coords - coords[u - 1], axis=1)
 
 
 def count_stretch_failures(h: GeometricGraph, points: PointSet, eps: float,
                            k: int) -> int:
     """Number of unordered pairs whose best <=k-hop path exceeds
     (1+eps) times their Euclidean distance; exact over all pairs."""
-    if points.n != h.n:
+    if not np.array_equal(points.coords, h.points.coords):
         raise ValueError("point set does not match the graph")
-    rows = _stretch_rows(h, points.coords, eps, k)
-    return sum(int(row.sum()) for _, row in rows)
+    return sum(int(stretch_failure_row(h, u, eps, k)[u:].sum())
+               for u in range(1, h.n))

@@ -19,7 +19,7 @@ from depspan import (GeometricGraph, PointSet, RankGraph,
                      extract_bounded_path, family_size_bound, filter_edges,
                      four_hop_spanner, khop_deficiency, locality_witness,
                      monte_carlo_deficiency, euclidean_dependable_spanner,
-                     two_hop_hierarchy)
+                     stretch_failure_row, two_hop_hierarchy)
 from depspan.euclid import _arcs, _hop_rounds
 from depspan.experiments import (ExperimentConfig, check_experiment,
                                  experiment_csv, run_experiment)
@@ -312,17 +312,6 @@ def test_c12b_single_pair_extraction_matches():
     _report("C12b", True, "per-pair extraction consistent with dense reference")
 
 
-def _sampled_failed_fraction(h: GeometricGraph, sources, eps: float) -> float:
-    n, coords = h.n, h.points.coords
-    edges = _arcs(h.graph)
-    failed = 0
-    for u in sources.tolist():
-        d = _hop_rounds(n, edges, u, 4)[0][1:]
-        dist = np.linalg.norm(coords - coords[u - 1], axis=1)
-        failed += int((d > (1.0 + eps) * dist).sum())
-    return failed / (sources.size * (n - 1))
-
-
 def test_c14_euclidean_ordering_beats_random_permutation():
     # n=4096, d=2, eps=0.25, psi=0.5, one ordering: the filtered LSO union
     # fails <= 1% of sampled (source, target) pairs at <=4 hops and
@@ -341,9 +330,10 @@ def test_c14_euclidean_ordering_beats_random_permutation():
                                                   - pts.coords[cj - 1], axis=1))
     fracs = {}
     for name, g in (("lso", lso.graph), ("control", control)):
-        kept = filter_edges(g, psi, derive_stream(140005, 0))
-        fracs[name] = _sampled_failed_fraction(GeometricGraph(kept, pts),
-                                               sources, eps)
+        h = GeometricGraph(filter_edges(g, psi, derive_stream(140005, 0)), pts)
+        failed = sum(int(stretch_failure_row(h, u, eps, 4).sum())
+                     for u in sources.tolist())
+        fracs[name] = failed / (sources.size * (n - 1))
     elapsed = time.perf_counter() - t0
     ok = (fracs["lso"] <= 0.01 and fracs["lso"] <= fracs["control"] / 10
           and elapsed <= 60.0)
@@ -353,6 +343,35 @@ def test_c14_euclidean_ordering_beats_random_permutation():
                        f"LSO {fracs['lso']:.4%} (<=1%) vs random permutation "
                        f"{fracs['control']:.4%} (need >= 10x); "
                        f"runtime {elapsed:.1f}s (<=60)")
+
+
+def test_c16_euclidean_sparse_unfiltered_guarantee():
+    # n=4096, d=2, eps=0.25, psi=1 (no failures), default c7, two orderings:
+    # a build of density < 0.25 (so not K_n) leaves at most 0.01% of sampled
+    # (source, target) pairs without a <=4-hop (1+eps)-path; the same build
+    # at c7=1 with one ordering must fail more than 1%, so the sample can
+    # see failures
+    t0 = time.perf_counter()
+    n, eps, seed = 4096, 0.25, 160002
+    pts = _uniform_points(n, 2, 160001)
+    sample = derive_stream(160003, 0).choice_without_replacement(n, 32)
+    sources = np.sort(sample) + 1
+    density, frac = {}, {}
+    for name, c7, orderings in (("default", 4.0, 2), ("control", 1.0, 1)):
+        h = euclidean_dependable_spanner(pts, eps, 1.0, c7, seed=seed,
+                                         max_orderings=orderings)
+        failed = sum(int(stretch_failure_row(h, u, eps, 4).sum())
+                     for u in sources.tolist())
+        density[name] = h.info["density"]
+        frac[name] = failed / (sources.size * (n - 1))
+    elapsed = time.perf_counter() - t0
+    ok = (density["default"] < 0.25 and frac["default"] <= 1e-4
+          and frac["control"] > 0.01 and elapsed <= 20.0)
+    _report("C16", ok, f"density c7=4 x2 orderings {density['default']:.3f} "
+                       f"(<0.25), c7=1 x1 {density['control']:.3f}; failed "
+                       f"fraction {frac['default']:.4%} (<=0.01%) vs control "
+                       f"{frac['control']:.4%} (need >1%); "
+                       f"runtime {elapsed:.1f}s (<=20)")
 
 
 def test_c13_reproducibility():

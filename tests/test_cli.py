@@ -4,7 +4,8 @@ import json
 import numpy as np
 
 from depspan.cli import main
-from depspan.fileio import read_edge_list, write_points
+from depspan.fileio import read_edge_list, write_edge_list, write_points
+from depspan.graphs import RankGraph
 
 
 def run(capsys, *argv):
@@ -106,11 +107,13 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     gfile = tmp_path / "e.edges"
     run(capsys, "build", "euclid", "--points", str(pfile), "--eps", "0.25",
         "--psi", "0.5", "--max-orderings", "1", "--out", str(gfile))
-    for eps in ("nan", "inf", "-0.5"):
+    for flag, bad, message in (("--eps", "nan", "eps"), ("--eps", "inf", "eps"),
+                               ("--eps", "-0.5", "eps"),
+                               ("--hops", "0", "hop bound must be >= 1")):
         code, out, err = run(capsys, "verify-stretch", "--graph", str(gfile),
-                             "--points", str(pfile), "--eps", eps,
-                             "--hops", "4", "--check")
-        assert code == 2 and "eps" in err and not out, eps
+                             "--points", str(pfile), "--eps", "0.25",
+                             "--hops", "4", flag, bad, "--check")
+        assert code == 2 and message in err and not out, (flag, bad)
     for bad in (["--pairs", "0"], ["--pairs", "-3", "--check"], ["--n", "1"]):
         code, out, err = run(capsys, "lso-check", "--d", "2", "--eps", "0.5", *bad)
         assert code == 2 and f"{bad[0]} must be" in err and not out, bad
@@ -161,6 +164,34 @@ def test_build_euclid_and_verify_stretch(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-stretch", "--graph", str(gfile),
                        "--points", str(pfile), "--eps", "0.25",
                        "--hops", "1000000")
+    assert code == 0 and "stretch_failures=" in out
+
+
+def test_verify_stretch_rejects_weights_that_are_not_distances(tmp_path, capsys):
+    pts = np.random.default_rng(6).random((40, 2))
+    pfile = tmp_path / "pts.txt"
+    write_points(pts, pfile)
+    # a star whose weights all say 1e-6: trusted, every pair would pass
+    star = tmp_path / "star.edges"
+    write_edge_list(RankGraph.from_edges(40, [(1, v) for v in range(2, 41)],
+                                         weights=[1e-6] * 39), star)
+    code, out, err = run(capsys, "verify-stretch", "--graph", str(star),
+                         "--points", str(pfile), "--eps", "0.25", "--hops",
+                         "4", "--check")
+    assert code == 2 and "edge (1, 2)" in err and not out
+    # a graph built from other points of the same size
+    other = tmp_path / "other.txt"
+    write_points(np.random.default_rng(7).random((40, 2)), other)
+    gfile = tmp_path / "e.edges"
+    assert run(capsys, "build", "euclid", "--points", str(other), "--eps",
+               "0.25", "--psi", "0.5", "--max-orderings", "2",
+               "--out", str(gfile))[0] == 0
+    code, out, err = run(capsys, "verify-stretch", "--graph", str(gfile),
+                         "--points", str(pfile), "--eps", "0.25", "--hops",
+                         "4", "--check")
+    assert code == 2 and "edge (" in err and not out
+    code, out, _ = run(capsys, "verify-stretch", "--graph", str(gfile),
+                       "--points", str(other), "--eps", "0.25", "--hops", "4")
     assert code == 0 and "stretch_failures=" in out
 
 

@@ -8,7 +8,7 @@ from depspan.euclid import (GeometricGraph, PointSet, _arcs, _hop_rounds,
                             _spread_ids, bounded_hop_distance,
                             count_stretch_failures,
                             euclidean_dependable_spanner, extract_bounded_path,
-                            normalize_points, stretch_failure_mask)
+                            normalize_points, stretch_failure_row)
 from depspan import euclid
 from depspan.graphs import RankGraph, filter_edges, graph_union
 from depspan.lso import Ordering, OrderingFamily, build_lso_family
@@ -173,6 +173,11 @@ def _engine_matrix(h, k):
                      for u in range(1, h.n + 1)])
 
 
+def _failure_rows(h, eps, k):
+    return np.array([stretch_failure_row(h, u, eps, k)
+                     for u in range(1, h.n + 1)])
+
+
 def _isolated_vertex_graph():
     # vertex 5 has no edges; 1-2-3-4 is a path with a costly chord
     ps = _pointset(5, 2, seed=3)
@@ -191,9 +196,10 @@ def test_hop_rounds_match_dense_reference():
         for k in (1, 2, 3, 4, 6, h.n - 1):
             ref = dense_hop_distances(h.graph, k)
             assert np.array_equal(_engine_matrix(h, k), ref), k
-            bad = np.triu(ref > 1.25 * dense_distances(h.points.coords), k=1)
-            assert np.array_equal(stretch_failure_mask(h, 0.25, k), bad), k
-            assert count_stretch_failures(h, h.points, 0.25, k) == bad.sum()
+            bad = ref > 1.25 * dense_distances(h.points.coords)
+            assert np.array_equal(_failure_rows(h, 0.25, k), bad), k
+            assert (count_stretch_failures(h, h.points, 0.25, k)
+                    == np.triu(bad, k=1).sum())
 
 
 def test_bounded_hop_monotone_and_converges(np_rng):
@@ -272,15 +278,27 @@ def test_count_stretch_failures_extremes():
         with pytest.raises(ValueError, match="eps"):
             count_stretch_failures(h, ps, eps, 4)
         with pytest.raises(ValueError, match="eps"):
-            stretch_failure_mask(h, eps, 4)
+            stretch_failure_row(h, 1, eps, 4)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="hop bound must be >= 1"):
+            count_stretch_failures(h, ps, 0.25, k)
+        with pytest.raises(ValueError, match="hop bound must be >= 1"):
+            stretch_failure_row(h, 1, 0.25, k)
+    for u in (0, 17, -1):
+        with pytest.raises(ValueError, match="vertices must be in"):
+            stretch_failure_row(h, u, 0.25, 4)
+    # a point set of the same size that the weights were not taken from
+    other = _pointset(16, 2, seed=5)
+    with pytest.raises(ValueError, match="does not match"):
+        count_stretch_failures(h, other, 0.25, 4)
 
 
 def test_stretch_failures_monotone_under_edge_removal():
     ps = _pointset(40, 2, seed=21)
     full = euclidean_dependable_spanner(ps, 0.25, 0.5, seed=7, max_orderings=8)
     sparse = GeometricGraph(filter_edges(full.graph, 0.5, derive_stream(3, 0)), ps)
-    f_full = stretch_failure_mask(full, 0.25, 4)
-    f_sparse = stretch_failure_mask(sparse, 0.25, 4)
+    f_full = _failure_rows(full, 0.25, 4)
+    f_sparse = _failure_rows(sparse, 0.25, 4)
     assert (f_full <= f_sparse).all()
 
 
@@ -346,7 +364,7 @@ def test_queries_share_one_arc_build(monkeypatch):
         return ([bounded_hop_distance(h, 1, v, 4) for v in (2, 30, 64)],
                 extract_bounded_path(h, 3, 40, 4),
                 count_stretch_failures(h, pts, 0.25, 4),
-                stretch_failure_mask(h, 0.25, 4).tolist())
+                _failure_rows(h, 0.25, 4).tolist())
 
     expected = queries(GeometricGraph(kept, pts))
     calls = []

@@ -24,3 +24,23 @@ def test_every_exported_name_is_defined():
         missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert missing == [], info.name
     assert [n for n in depspan.__all__ if not hasattr(depspan, n)] == []
+
+
+def test_only_the_engine_checks_run_hop_rounds_directly():
+    # stretch counts in tests go through euclid.stretch_failure_row; only the
+    # engine's own cross-check and C12's predecessor walk read its rounds
+    allowed = {("test_euclid.py", "_engine_matrix"),
+               ("test_acceptance.py", "test_c12_euclidean_filtered_behavior")}
+    found = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                renamed = (isinstance(node, ast.alias) and node.asname
+                           and node.name == "_hop_rounds")
+                if renamed or isinstance(node, ast.Call) and "_hop_rounds" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    found.add((path.name, owner))
+    assert found <= allowed, sorted(found - allowed)
