@@ -6,7 +6,8 @@ single forward sweep. Two exact engines back the pair counts:
 
 * unbounded reachability: a bitset closure over a set of sources (all n, or a
   sample), one row of source bits per target vertex, filled in one ascending
-  pass (row j ORs the rows of its in-neighbors);
+  pass (row i is ORed into the rows of its out-neighbors, which are one run
+  of the canonical edge order, so no engine re-sorts edges);
 * hop-bounded reachability: boolean powers of I + A, stored as float32 row
   panels that each hold their rows from the diagonal rightwards, and
   multiplied panel by panel with BLAS, for every n. Memory is about
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RankGraph
+from .graphs import RankGraph, filter_edges
 from .rng import derive_stream
 
 __all__ = [
@@ -48,15 +49,10 @@ _ONE = np.uint64(1)
 # ---------------------------------------------------------------------------
 # per-source sweeps (the reference per-vertex API)
 
-def _in_neighbor_slices(n: int, ei: np.ndarray, ej: np.ndarray):
-    """Edges regrouped by upper endpoint: lower endpoints sorted by upper,
-    plus per-vertex slice bounds (lo[j]:hi[j])."""
-    order = np.argsort(ej, kind="stable")
-    ik = ei[order]
-    counts = np.bincount(ej[order], minlength=n + 2)
-    hi = np.cumsum(counts)
-    lo = hi - counts
-    return ik, lo, hi
+def _out_runs(g: RankGraph) -> list:
+    """Bounds of each vertex's out-edges in canonical order: the edges
+    (i, j), j > i, are runs[i]:runs[i + 1], for i in 0..n."""
+    return np.searchsorted(g.edge_i, np.arange(g.n + 2)).tolist()
 
 
 def straight_reachable(g: RankGraph, source: int) -> np.ndarray:
@@ -76,46 +72,42 @@ def straight_hops(g: RankGraph, source: int) -> np.ndarray:
     """
     if not (1 <= source <= g.n):
         raise ValueError(f"vertex {source} out of range [1, {g.n}]")
-    ik, lo, hi = _in_neighbor_slices(g.n, g.edge_i, g.edge_j)
+    runs = _out_runs(g)
     hops = np.full(g.n + 1, np.inf)
     hops[source] = 0.0
-    for j in range(source + 1, g.n + 1):
-        nb = ik[lo[j]:hi[j]]
-        if nb.size:
-            best = hops[nb].min()
-            if best < np.inf:
-                hops[j] = best + 1.0
-    hops[0] = np.inf
+    for i in range(source, g.n + 1):
+        if hops[i] < np.inf:
+            nb = g.edge_j[runs[i]:runs[i + 1]]
+            hops[nb] = np.minimum(hops[nb], hops[i] + 1.0)
     return hops
 
 
 # ---------------------------------------------------------------------------
 # bitset closure engine (a set of sources at once)
 
-def _closure_reachable_pairs(n: int, ei: np.ndarray, ej: np.ndarray,
-                             sources: np.ndarray) -> int:
+def _closure_reachable_pairs(g: RankGraph, sources: np.ndarray) -> int:
     """Number of pairs (src, j), src in the sorted `sources`, joined by a
     straight path src < ... < j.
 
     Row j of the bit matrix holds the sources that reach j, one bit per
-    source; rows are final once written because in-neighbors precede j.
+    source. The ascending sweep ORs row i into its out-neighbors' rows; row i
+    is final when reached because all its in-neighbors are smaller.
     """
     s = sources.size
-    rows = np.zeros((n + 1, (s + 63) >> 6), dtype=np.uint64)
+    rows = np.zeros((g.n + 1, (s + 63) >> 6), dtype=np.uint64)
     bit = np.arange(s)
     rows[sources, bit >> 6] = _ONE << (bit & 63).astype(np.uint64)
-    ik, lo, hi = _in_neighbor_slices(n, ei, ej)
-    for j in range(int(sources[0]) + 1, n + 1):
-        a, b = lo[j], hi[j]
-        if b > a:
-            rows[j] |= np.bitwise_or.reduce(rows[ik[a:b]], axis=0)
+    runs, heads = _out_runs(g), g.edge_j.astype(np.intp)
+    for i in range(int(sources[0]), g.n):
+        nb = heads[runs[i]:runs[i + 1]]
+        # take + assign: about 1.3x faster than rows[nb] |= rows[i]
+        rows[nb] = rows.take(nb, axis=0) | rows[i]
     return int(np.bitwise_count(rows[1:]).sum()) - s
 
 
 def deficiency(g: RankGraph) -> int:
     """Number of pairs i < j with no straight path in g."""
-    everyone = np.arange(1, g.n + 1)
-    reachable = _closure_reachable_pairs(g.n, g.edge_i, g.edge_j, everyone)
+    reachable = _closure_reachable_pairs(g, np.arange(1, g.n + 1))
     return g.n * (g.n - 1) // 2 - reachable
 
 
@@ -142,8 +134,8 @@ def _zeros_beyond(panels: list, d: int) -> int:
     return int(sum(np.count_nonzero(np.triu(p == 0, d + 1)) for p in panels))
 
 
-def _khop_power(n: int, ei: np.ndarray, ej: np.ndarray, k: int) -> list:
-    """(I + A)^k as a boolean matrix, for the edges (ei, ej) of a graph on n.
+def _khop_power(g: RankGraph, k: int) -> list:
+    """(I + A)^k as a boolean matrix, A the adjacency of g's edges i < j.
 
     A is strictly upper triangular, so every power of I + A is upper
     triangular and a zero entry above the diagonal is exactly a missing
@@ -154,14 +146,14 @@ def _khop_power(n: int, ei: np.ndarray, ej: np.ndarray, k: int) -> list:
     memory is about 3 * (n^2 / 2) * 4 bytes plus one panel product; no dense
     n x n matrix is allocated.
     """
-    r, c = ei - 1, ej - 1
-    band = r // _TILE
+    n, runs = g.n, _out_runs(g)
     power = []
-    for p, s in enumerate(range(0, n, _TILE)):
-        panel = np.zeros((min(_TILE, n - s), n - s), dtype=np.float32)
+    for s in range(0, n, _TILE):
+        h = min(_TILE, n - s)
+        panel = np.zeros((h, n - s), dtype=np.float32)
         np.fill_diagonal(panel, 1.0)
-        rows = band == p
-        panel[r[rows] - s, c[rows] - s] = 1.0
+        a, b = runs[s + 1], runs[s + h + 1]  # out-edges of ranks s+1..s+h
+        panel[g.edge_i[a:b] - (s + 1), g.edge_j[a:b] - (s + 1)] = 1.0
         power.append(panel)
     result = None
     kk = min(k, max(1, n - 1))  # longer straight paths cannot exist
@@ -178,7 +170,7 @@ def khop_deficiency(g: RankGraph, k: int) -> int:
     """Number of pairs i < j whose minimum straight hop count exceeds k."""
     if k < 1:
         raise ValueError(f"hop bound must be >= 1, got {k}")
-    return _zeros_beyond(_khop_power(g.n, g.edge_i, g.edge_j, k), 0)
+    return _zeros_beyond(_khop_power(g, k), 0)
 
 
 def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
@@ -188,7 +180,7 @@ def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
         raise ValueError(f"hop bound must be >= 1, got {k}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    power = _khop_power(g.n, g.edge_i, g.edge_j, k)
+    power = _khop_power(g, k)
     long_fail = _zeros_beyond(power, radius)
     return _zeros_beyond(power, 0) - long_fail, long_fail
 
@@ -276,10 +268,10 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
                            source_sample: int | None = None) -> DeficiencyReport:
     """Estimate the expected deficiency of g under survival rate psi.
 
-    Trial t filters g with derive_stream(master, t) (bit-identical to calling
-    filter_edges with that stream) and counts failed pairs, exactly unless
-    source_sample < n: then the same stream draws that many sources and the
-    count over them is scaled by n / source_sample (unbiased). The report is
+    Trial t is filter_edges(g, psi, derive_stream(master, t)) followed by the
+    exact failed-pair count of the filtered graph, unless source_sample < n:
+    then the same stream draws that many sources afterwards, and the count
+    over them is scaled by n / source_sample (unbiased). The report is
     a pure function of the arguments; jobs only controls thread fan-out,
     never the result.
     """
@@ -297,21 +289,17 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
                              "hop-bounded counts are always exact")
     n = g.n
     sampled = source_sample is not None and source_sample < n
-    # edges pre-sorted by upper endpoint, so each trial's regrouping is linear
-    order = np.argsort(g.edge_j, kind="stable")
-    ib, jb = g.edge_i[order], g.edge_j[order]
 
     def run(t: int):
         stream = derive_stream(master, t)
-        keep = (stream.uniforms(g.m) < psi)[order]
-        ik, jk = ib[keep], jb[keep]
+        h = filter_edges(g, psi, stream)
         if hop_bound is not None:
-            return _zeros_beyond(_khop_power(n, ik, jk, hop_bound), 0)
-        sources = (np.sort(stream.choice_without_replacement(n, source_sample) + 1)
-                   if sampled else np.arange(1, n + 1))
-        missing = (int((n - sources).sum())
-                   - _closure_reachable_pairs(n, ik, jk, sources))
-        return missing * n / source_sample if sampled else missing
+            return khop_deficiency(h, hop_bound)
+        if not sampled:
+            return deficiency(h)
+        sources = np.sort(stream.choice_without_replacement(n, source_sample) + 1)
+        missing = int((n - sources).sum()) - _closure_reachable_pairs(h, sources)
+        return missing * n / source_sample
 
     counts = _map_trials(run, trials, jobs)
     return DeficiencyReport.from_counts(n, psi, hop_bound, master, counts)

@@ -5,7 +5,8 @@ import numpy as np
 
 from depspan.cli import main
 from depspan.fileio import read_edge_list, write_edge_list, write_points
-from depspan.graphs import RankGraph
+from depspan.graphs import RankGraph, interval_graph
+from depspan.reach import monte_carlo_deficiency
 
 
 def run(capsys, *argv):
@@ -75,6 +76,22 @@ def test_filter_then_deficiency_pipeline(tmp_path, capsys):
                        "--trials", "5", "--seed", "2", "--hops", "2")
     assert code == 0
     assert out.splitlines()[0] == "n,psi,hop_bound,trials,mean,stderr,seed"
+
+    # filter --stream-index t then deficiency is Monte Carlo trial t
+    base = interval_graph(60, 6)
+    write_edge_list(base, g)
+    unbounded = monte_carlo_deficiency(base, 0.6, 4, master=91).per_trial_counts
+    bounded = monte_carlo_deficiency(base, 0.6, 4, hop_bound=4,
+                                     master=91).per_trial_counts
+    for t in (0, 3):
+        code, _, _ = run(capsys, "filter", "--graph", str(g), "--psi", "0.6",
+                         "--seed", "91", "--stream-index", str(t),
+                         "--out", str(h))
+        assert code == 0
+        code, out, _ = run(capsys, "deficiency", "--graph", str(h))
+        assert code == 0 and int(out) == unbounded[t], t
+        code, out, _ = run(capsys, "deficiency", "--graph", str(h), "--hops", "4")
+        assert code == 0 and int(out) == bounded[t], t
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

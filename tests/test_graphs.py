@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from depspan.euclid import PointSet, euclidean_dependable_spanner
+from depspan.fileio import edge_list_text, read_edge_list
 from depspan.graphs import (RankGraph, complete_graph, filter_edges,
                             graph_union, interval_graph)
 from depspan.rng import derive_stream
+from depspan.spanners1d import (biclique_block_spanner,
+                                dependable_interval_spanner, four_hop_spanner,
+                                khop_spanner)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (4, 6), (10, 45)])
@@ -157,3 +162,41 @@ def test_union_weighted():
     unweighted = RankGraph.from_edges(4, [(2, 3)])
     with pytest.raises(ValueError):
         graph_union(a, unweighted)
+
+
+def test_every_producer_emits_canonical_edge_order(tmp_path, np_rng):
+    # the reach engines read each vertex's out-edges as one run of this
+    # order, and trusted producers skip the check that would enforce it
+    graphs = {}
+    for n in (1, 2, 7, 300):
+        graphs[f"K_{n}"] = complete_graph(n)
+        for radius in (0, 1, 5, n - 1, n + 3):
+            graphs[f"interval({n}, {radius})"] = interval_graph(n, radius)
+    base = interval_graph(300, 20)
+    for psi in (0.0, 0.5, 1.0):
+        graphs[f"filter psi={psi}"] = filter_edges(base, psi, derive_stream(6, 1))
+    half = filter_edges(base, 0.5, derive_stream(6, 2))
+    graphs["union"] = graph_union(graphs["filter psi=0.5"], half)
+    weighted = [RankGraph(h.n, h.edge_i, h.edge_j, (h.edge_j - h.edge_i) * 1.5)
+                for h in (graphs["filter psi=0.5"], half)]
+    graphs["weighted union"] = graph_union(*weighted)
+    # builder sizes chosen so that no build is the complete graph
+    graphs["interval spanner"] = dependable_interval_spanner(1024, 0.5)
+    graphs["biclique"] = biclique_block_spanner(1024, 0.5, 2.0)
+    graphs["four-hop"] = four_hop_spanner(1024, 0.5, 2.0, seed=4)
+    graphs["k-hop"] = khop_spanner(1024, 0.5, 5, 2.0, seed=4)
+    pts = PointSet(np_rng.random((300, 2)) * 0.999)
+    for mode in ("four-hop", "log-hop"):
+        graphs[f"euclid {mode}"] = euclidean_dependable_spanner(
+            pts, 0.25, 0.9, 1.0, mode=mode, seed=5, max_orderings=4).graph
+    pairs = list(base.edge_set())
+    np_rng.shuffle(pairs)
+    graphs["from_edges"] = RankGraph.from_edges(300, [(j, i) for i, j in pairs])
+    header, *lines = edge_list_text(half).splitlines()
+    path = tmp_path / "reversed.edges"
+    path.write_text("\n".join([header, *lines[::-1]]) + "\n")
+    graphs["read_edge_list"] = read_edge_list(path)
+    for name, g in graphs.items():
+        i, j = g.edge_i.astype(np.int64), g.edge_j.astype(np.int64)
+        assert np.all(i < j), name
+        assert np.all(np.diff(i * (g.n + 1) + j) > 0), name

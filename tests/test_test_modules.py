@@ -44,3 +44,23 @@ def test_only_the_engine_checks_run_hop_rounds_directly():
                         getattr(node.func, "attr", None)):
                     found.add((path.name, owner))
     assert found <= allowed, sorted(found - allowed)
+
+
+def _calls(path: Path):
+    return [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)]
+
+
+def test_trusted_edge_producers_and_sort_free_reach():
+    # the reach engines read edges in the canonical order RankGraph stores;
+    # _validated=True skips that check, so every trusted producer lives in
+    # graphs.py or euclid.py and is covered by test_graphs' order test
+    src = Path(depspan.__file__).parent
+    trusted = {path.name for path in sorted(src.glob("*.py"))
+               for call in _calls(path)
+               if any(kw.arg == "_validated" for kw in call.keywords)}
+    assert trusted <= {"graphs.py", "euclid.py"}, sorted(trusted)
+    sorts = [call.lineno for call in _calls(src / "reach.py")
+             if {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+             & {"argsort", "lexsort"}]
+    assert sorts == [], sorts
