@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .graphs import RankGraph, _EdgeError
+from .graphs import _MAX_N, RankGraph, _EdgeError
 
 __all__ = ["FormatError", "read_edge_list", "write_edge_list",
            "edge_list_text", "read_points", "write_points", "points_text"]
@@ -83,8 +83,8 @@ def read_edge_list(path) -> RankGraph:
 
 def parse_edge_list(text: str) -> RankGraph:
     n, m, rows = _read(text, "n m", lambda w: _EDGES.get(w, _EDGES[2]), 1)
-    if n < 1:
-        _fail(1, f"vertex count must be >= 1, got {n}")
+    if not 1 <= n <= _MAX_N:
+        _fail(1, f"vertex count must be in [1, {_MAX_N}], got {n}")
     if rows is None or rows.size != m:
         _scan(text, m, "edges",
               (lambda t, _: 2 <= len(t) <= 3, "expected 'i j' or 'i j w'"),

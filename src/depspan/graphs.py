@@ -15,6 +15,8 @@ import numpy as np
 
 from .rng import RandomStream
 
+_MAX_N = 2**31 - 1  # the largest vertex id int32 edge arrays hold
+
 __all__ = [
     "RankGraph",
     "complete_graph",
@@ -32,8 +34,8 @@ class RankGraph:
 
     def __init__(self, n: int, edge_i: np.ndarray, edge_j: np.ndarray,
                  weights: np.ndarray | None = None, _validated: bool = False):
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
+        if not 1 <= n <= _MAX_N:
+            raise ValueError(f"vertex count must be in [1, {_MAX_N}], got {n}")
         self.n = int(n)
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -53,7 +55,7 @@ class RankGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    weights: Iterable[float] | None = None) -> "RankGraph":
         pairs = list(edges)
-        arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        arr = np.asarray(pairs).reshape(len(pairs), 2)
         w = None if weights is None else np.asarray(list(weights), dtype=np.float64)
         return cls(n, arr[:, 0], arr[:, 1], w)
 
@@ -90,28 +92,15 @@ class RankGraph:
         return f"RankGraph(n={self.n}, m={self.m}{tag})"
 
 
-def _edge_keys(n, lo, hi):
-    """Keys lo*(n+1) + hi sort in canonical edge order; _key_edges decodes."""
-    return lo.astype(np.int64) * (n + 1) + hi
-
-
-def _key_edges(n, keys):
-    return (keys // (n + 1)).astype(np.int32), (keys % (n + 1)).astype(np.int32)
-
-
-def _run_starts(keys):
-    """Mask of the first entry of each run of equal sorted keys."""
+def _key_order(n, lo, hi):
+    """Stable order of edges lo < hi into canonical order (keys lo*(n+1) + hi)
+    and the mask, in that order, of each edge's first copy."""
+    keys = lo.astype(np.int64) * (n + 1) + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     first = np.ones(keys.shape[0], dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return first
-
-
-def _edge_union(n, edge_i, edge_j) -> RankGraph:
-    """Canonical RankGraph on trusted edges in either orientation, repeats
-    collapsed; sorts keys, as np.unique hashes int64 keys (far slower)."""
-    keys = _edge_keys(n, np.minimum(edge_i, edge_j), np.maximum(edge_i, edge_j))
-    keys.sort()
-    return RankGraph(n, *_key_edges(n, keys[_run_starts(keys)]), _validated=True)
+    return order, first
 
 
 class _EdgeError(ValueError):
@@ -129,15 +118,16 @@ def _canonicalize(n, edge_i, edge_j, weights):
         raise ValueError("edge arrays must have equal length")
     if weights is not None and weights.shape[0] != edge_i.shape[0]:
         raise ValueError("weight table must cover exactly the edge set")
+    if edge_i.size and not (np.issubdtype(edge_i.dtype, np.integer)
+                            and np.issubdtype(edge_j.dtype, np.integer)):
+        raise ValueError("edge endpoints must be integers, got "
+                         f"{edge_i.dtype} and {edge_j.dtype}")
     if np.any(edge_i == edge_j):
         raise ValueError("self-loops are not allowed")
     lo, hi = np.minimum(edge_i, edge_j), np.maximum(edge_i, edge_j)
     if lo.size and (lo.min() < 1 or hi.max() > n):
         raise ValueError(f"edge endpoint out of range [1, {n}]")
-    keys = _edge_keys(n, lo, hi)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = _run_starts(keys)
+    order, first = _key_order(n, lo, hi)
     if not first.all():
         row = int(order[~first].min())
         raise _EdgeError(f"duplicate edge ({lo[row]}, {hi[row]})", row)
@@ -147,20 +137,18 @@ def _canonicalize(n, edge_i, edge_j, weights):
             raise _EdgeError("edge weights must be finite and positive",
                              int(bad.argmax()))
         weights = weights[order]
-    return (*_key_edges(n, keys), weights)
+    return lo[order], hi[order], weights
 
 
 def complete_graph(n: int) -> RankGraph:
     """K_n on vertices 1..n, with n(n-1)/2 edges."""
-    ei, ej = np.triu_indices(n, k=1)
-    return RankGraph(n, (ei + 1).astype(np.int32), (ej + 1).astype(np.int32),
-                     _validated=True)
+    return interval_graph(n, n - 1)
 
 
 def interval_graph(n: int, radius: int) -> RankGraph:
     """Edge (i, j) present iff 0 < j - i <= radius. radius >= n-1 gives K_n."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"vertex count must be in [1, {_MAX_N}], got {n}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     radius = min(radius, n - 1)
@@ -184,9 +172,10 @@ def filter_edges(g: RankGraph, psi: float, rng: RandomStream) -> RankGraph:
     """
     if not (0.0 <= psi <= 1.0):
         raise ValueError(f"survival probability must be in [0, 1], got {psi}")
-    keep = rng.uniforms(g.m) < psi
-    w = None if g.weights is None else g.weights[keep]
-    return RankGraph(g.n, g.edge_i[keep], g.edge_j[keep], w, _validated=True)
+    keep = np.flatnonzero(rng.uniforms(g.m) < psi)
+    w = None if g.weights is None else g.weights.take(keep)
+    return RankGraph(g.n, g.edge_i.take(keep), g.edge_j.take(keep), w,
+                     _validated=True)
 
 
 def graph_union(g1: RankGraph, g2: RankGraph) -> RankGraph:
@@ -195,17 +184,23 @@ def graph_union(g1: RankGraph, g2: RankGraph) -> RankGraph:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
     if (g1.weights is None) != (g2.weights is None):
         raise ValueError("cannot union a weighted graph with an unweighted one")
-    n = g1.n
-    if g1.weights is None:
-        return _edge_union(n, np.concatenate([g1.edge_i, g2.edge_i]),
-                           np.concatenate([g1.edge_j, g2.edge_j]))
-    keys = np.concatenate([_edge_keys(n, g1.edge_i, g1.edge_j),
-                           _edge_keys(n, g2.edge_i, g2.edge_j)])
-    weights = np.concatenate([g1.weights, g2.weights])
-    order = np.argsort(keys, kind="stable")
-    keys, weights = keys[order], weights[order]
-    first = _run_starts(keys)
-    if np.any(~first[1:] & (weights[1:] != weights[:-1])):
-        raise ValueError("weight tables disagree on a shared edge")
-    return RankGraph(n, *_key_edges(n, keys[first]), weights[first],
-                     _validated=True)
+    ei = np.concatenate([g1.edge_i, g2.edge_i])
+    ej = np.concatenate([g1.edge_j, g2.edge_j])
+    order, first = _key_order(g1.n, ei, ej)
+    keep = order[first]
+    weights = None
+    if g1.weights is not None:
+        w = np.concatenate([g1.weights, g2.weights])[order]
+        if np.any(~first[1:] & (w[1:] != w[:-1])):
+            raise ValueError("weight tables disagree on a shared edge")
+        weights = w[first]
+    return RankGraph(g1.n, ei[keep], ej[keep], weights, _validated=True)
+
+
+def _with_far_edges(g: RankGraph, far: np.ndarray) -> RankGraph:
+    """g plus the trusted edges far, an (m, 2) array in canonical order whose
+    edges are new and longer than every edge of g at the same lower endpoint
+    (as for an interval graph), so each goes right after its row of g."""
+    at = np.searchsorted(g.edge_i, far[:, 0], side="right")
+    return RankGraph(g.n, np.insert(g.edge_i, at, far[:, 0]),
+                     np.insert(g.edge_j, at, far[:, 1]), _validated=True)

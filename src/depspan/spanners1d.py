@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import RankGraph, _edge_union, interval_graph
+from .graphs import RankGraph, _with_far_edges, interval_graph
 from .rng import RandomStream, derive_stream
 
 __all__ = [
@@ -172,24 +172,25 @@ def bipartite_connector(x_block: tuple[int, int], y_block: tuple[int, int],
 
 
 def _connectors(n: int, dp: DerivedParams, seed: int) -> np.ndarray:
-    """The block hierarchy's connector edges, an (m, 2) array with i < j."""
+    """The block hierarchy's connector edges longer than the interval radius
+    (the rest are interval edges), an (m, 2) array in canonical order. No
+    pair repeats: the hierarchy's block pairs are distinct and disjoint."""
     parts = [np.empty((0, 2), dtype=np.int64)]
     blocks = block_partition(n, dp.block_size)
     nb = len(blocks)
     for bi, bj in two_hop_hierarchy(1, nb):
         stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
-        parts.append(bipartite_connector(blocks[bi - 1], blocks[bj - 1],
-                                         dp.connector_rate, stream))
-    return np.concatenate(parts, axis=0)
+        pairs = bipartite_connector(blocks[bi - 1], blocks[bj - 1],
+                                    dp.connector_rate, stream)
+        parts.append(pairs[pairs[:, 1] - pairs[:, 0] > dp.radius])
+    far = np.concatenate(parts, axis=0)
+    return far[np.lexsort((far[:, 1], far[:, 0]))]
 
 
 def _assemble(n: int, dp: DerivedParams, seed: int) -> RankGraph:
-    """Interval graph plus the block hierarchy with connector cross edges;
-    deduplicated."""
-    base = interval_graph(n, dp.radius)
-    pairs = _connectors(n, dp, seed)
-    return _edge_union(n, np.concatenate([base.edge_i, pairs[:, 0]]),
-                       np.concatenate([base.edge_j, pairs[:, 1]]))
+    """Interval graph of radius dp.radius plus the block hierarchy's connector
+    edges that reach beyond it, each inserted after its row's interval edges."""
+    return _with_far_edges(interval_graph(n, dp.radius), _connectors(n, dp, seed))
 
 
 def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:

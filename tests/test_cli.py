@@ -103,6 +103,12 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert "error" in err
     code, _, err = run(capsys, "deficiency", "--graph", str(tmp_path / "nope"))
     assert code == 2
+    big = tmp_path / "big.edges"
+    big.write_text("3000000000 1\n1 3000000000\n")
+    code, _, err = run(capsys, "filter", "--graph", str(big), "--psi", "1",
+                       "--out", str(tmp_path / "h"))
+    assert code == 2 and "line 1: vertex count" in err
+    assert not (tmp_path / "h").exists()
     for bad in (["--source-samples", "0"], ["--source-samples", "-3"],
                 ["--source-samples", "4", "--hops", "2"], ["--jobs", "0"],
                 ["--jobs", "-1"]):

@@ -81,6 +81,9 @@ def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
     ("20 1\n1 1_0\n", "line 2: endpoints must be integers"),
     ("5 1\n1 2 1_0\n", "line 2: weight must be a number"),
     ("1_0 0\n", "line 1: header"),
+    # int32 edge storage holds vertex ids up to 2**31 - 1
+    ("3000000000 1\n1 3000000000\n", "line 1: vertex count"),
+    ("2147483648 0\n", "line 1: vertex count"),
 ])
 def test_edge_list_errors(text, message):
     with pytest.raises(FormatError, match=message):

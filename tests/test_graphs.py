@@ -43,6 +43,9 @@ def test_edges_canonicalized():
     g = RankGraph.from_edges(5, [(4, 2), (1, 3), (2, 5)])
     assert g.edge_set() == {(2, 4), (1, 3), (2, 5)}
     assert list(g.edge_i) == sorted(g.edge_i)
+    # empty endpoint lists carry no dtype worth checking
+    assert RankGraph(3, [], []).m == RankGraph.from_edges(3, []).m == 0
+    assert RankGraph(2**31 - 1, [], []).n == 2**31 - 1
 
 
 @pytest.mark.parametrize("edges,err", [
@@ -52,10 +55,18 @@ def test_edges_canonicalized():
     ([(1, 2), (2, 1)], "duplicate"),
     ([(1, 2**32 + 3)], "out of range"),  # (1, 3) after int32 wraparound
     ((np.array([1]), np.array([2**32 + 2])), "out of range"),
+    # int32 storage would silently truncate these to the edge (1, 3)
+    ((np.array([1.5, 2.0]), np.array([3.0, 4.0])), "integers"),
+    ([(1.5, 3)], "integers"),
+    ((np.array([True]), np.array([False])), "integers"),
+    # a vertex count: ids above 2**31 - 1 would wrap in int32
+    (2**31, "vertex count"),
 ])
 def test_bad_edges_rejected(edges, err):
     with pytest.raises(ValueError, match=err):
-        if isinstance(edges, tuple):
+        if isinstance(edges, int):
+            RankGraph(edges, [], [])
+        elif isinstance(edges, tuple):
             RankGraph(5, *edges)
         else:
             RankGraph.from_edges(5, edges)

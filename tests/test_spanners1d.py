@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from depspan.fileio import edge_list_text
 from depspan.graphs import RankGraph, filter_edges, graph_union, interval_graph
 from depspan.reach import deficiency, khop_deficiency, straight_hops
 from depspan.rng import derive_stream
-from depspan.spanners1d import (DerivedParams, biclique_block_spanner,
+from depspan.spanners1d import (DerivedParams, _assemble, biclique_block_spanner,
                                 bipartite_connector, block_partition,
                                 dependable_interval_spanner, four_hop_spanner,
                                 interval_radius, khop_spanner,
@@ -215,6 +217,33 @@ def test_biclique_block_spanner_recount():
     g = biclique_block_spanner(n, psi, c7)
     assert g.m == len(edges)
     assert g.edge_set() == edges
+
+
+def _reference_build(n, dp, seed):
+    # every drawn connector pair, band or not, through the generic union
+    blocks = block_partition(n, dp.block_size)
+    nb = len(blocks)
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
+        bipartite_connector(blocks[bi - 1], blocks[bj - 1], dp.connector_rate,
+                            derive_stream(seed, (bi - 1) * nb + (bj - 1)))
+        for bi, bj in two_hop_hierarchy(1, nb)])
+    # RankGraph rejects a repeated pair, so this also checks they are distinct
+    return graph_union(interval_graph(n, dp.radius),
+                       RankGraph(n, pairs[:, 0], pairs[:, 1]))
+
+
+@pytest.mark.parametrize("n", [16, 300, 700, 1024, 2048])
+def test_assemble_equals_reference_union(n):
+    # _assemble inserts only the connectors beyond the interval radius; the
+    # grid includes K_n builds (no such connector) and full bicliques
+    for psi, c7, seed in itertools.product((0.9, 0.5, 0.25), (0.5, 1.0, 4.0),
+                                           (7, 8)):
+        four = DerivedParams.for_four_hop(n, psi, c7)
+        for dp in (four, replace(four, connector_rate=1.0),
+                   DerivedParams.for_k_hop(n, psi, 3, c7),
+                   DerivedParams.for_k_hop(n, psi, 6, c7)):
+            assert _assemble(n, dp, seed) == _reference_build(n, dp, seed), (
+                psi, c7, seed, dp)
 
 
 def test_edge_lists_match_golden_hashes():

@@ -64,3 +64,30 @@ def test_trusted_edge_producers_and_sort_free_reach():
              if {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
              & {"argsort", "lexsort"}]
     assert sorts == [], sorts
+
+
+def _named_calls(path: Path, names):
+    """(enclosing top-level def, callee) for each call of a name in names."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if callee in names:
+                    found.append((getattr(top, "name", None), callee))
+    return found
+
+
+def test_rank_builds_insert_without_a_generic_union():
+    # a build is the interval graph, already canonical, plus its few long
+    # connectors inserted in place; a sort-and-dedup of all its edges (keys
+    # sorted in place, then decoded with //) is the waste this rules out
+    src = Path(depspan.__file__).parent
+    graphs = src / "graphs.py"
+    assert _named_calls(graphs, {"sort"}) == []
+    floor_divs = [node.lineno for node in ast.walk(ast.parse(graphs.read_text()))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)]
+    assert floor_divs == [], floor_divs
+    sorts = _named_calls(src / "spanners1d.py",
+                        {"sort", "argsort", "lexsort", "unique", "graph_union"})
+    assert sorts == [("_connectors", "lexsort")], sorts
