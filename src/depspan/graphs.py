@@ -155,13 +155,16 @@ def interval_graph(n: int, radius: int) -> RankGraph:
     if radius == 0:
         return RankGraph(n, np.zeros(0, np.int32), np.zeros(0, np.int32),
                          _validated=True)
-    # counts[i] = number of neighbors above i, in lexicographic order
-    counts = np.minimum(radius, n - np.arange(1, n, dtype=np.int64))
-    ei = np.repeat(np.arange(1, n, dtype=np.int64), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offsets = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts)
-    ej = ei + offsets + 1
-    return RankGraph(n, ei.astype(np.int32), ej.astype(np.int32), _validated=True)
+    # counts[i] = number of neighbors above i, in lexicographic order; ej is
+    # the running sum of its steps: +1 within a row, 2 - counts[i-1] at the
+    # start of row i, so no int64 array of m entries is made
+    rows = np.arange(1, n, dtype=np.int32)
+    counts = np.minimum(radius, n - rows)
+    ej = np.ones(int(counts.sum()), np.int32)
+    ej[0] = 2
+    ej[np.cumsum(counts)[:-1]] = 2 - counts[:-1]
+    np.cumsum(ej, out=ej)
+    return RankGraph(n, np.repeat(rows, counts), ej, _validated=True)
 
 
 def filter_edges(g: RankGraph, psi: float, rng: RandomStream) -> RankGraph:

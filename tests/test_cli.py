@@ -235,6 +235,16 @@ def test_experiment_csv_and_jobs_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_experiment_check_failure_exits_3(capsys):
+    code, out, err = run(capsys, "experiment", "sparse-failure", "--n", "64",
+                         "--psi", "0.999", "--trials", "5", "--seed", "3",
+                         "--check")
+    assert code == 3
+    assert out.startswith("schema_version,")
+    assert err == ("check failed: n=64 psi=0.999: mean 0.0 below threshold "
+                   "64.0\n")
+
+
 def test_experiment_check_flag(capsys):
     code, out, err = run(capsys, "experiment", "clique-scaling", "--n", "64",
                          "--psi", "0.5", "--trials", "50", "--seed", "1",

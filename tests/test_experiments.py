@@ -2,6 +2,9 @@ import pytest
 
 from depspan.experiments import (ExperimentConfig, check_experiment,
                                  experiment_csv, render_csv, run_experiment)
+from depspan.reach import monte_carlo_deficiency
+from depspan.rng import derive_seed
+from depspan.spanners1d import khop_spanner
 
 
 def _cfg(**kw):
@@ -131,6 +134,50 @@ def test_hop_survival_no_failures_without_edge_loss():
     cols, rows = run_experiment(cfg)
     assert rows[0][cols.index("total_mean")] == 0.0
     assert rows[0][cols.index("long_zero_trials")] == 2
+
+
+_HOP_SMALL = dict(name="hop-survival", ns=(512,), ks=(4,), trials=5)
+
+
+@pytest.mark.parametrize("kw,column,value,expected", [
+    (dict(hops=2), "mean", 1000.0,
+     "n=64 psi=0.5: mean 1000.000 vs oracle 120.000 beyond 3 stderr"),
+    (dict(psis=(0.5, 0.3)), "norm_ratio", 100.0,
+     "normalized ratios spread beyond 4x: 0.9747..100"),
+    (dict(name="spanner-vs-clique", trials=10), "diff_mean", 1e6,
+     "n=64 psi=0.5: diff 1000000.000 exceeds 3*stderr+1 = 24.058"),
+    (dict(name="sparse-failure"), "exceeds_threshold", 0,
+     "n=64 psi=0.5: mean 1948.8 below threshold 64.0"),
+    (_HOP_SMALL, "long_zero_trials", 0,
+     "n=512 psi=0.5 k=4: long-pair failures nonzero in 5/5 trials"),
+    (_HOP_SMALL, "total_within_2x_trials", 0,
+     "n=512 psi=0.5 k=4: total failures above 2(n/psi^2+1) in 5/5 trials"),
+])
+def test_check_reports_each_broken_rule(kw, column, value, expected):
+    # each check reads the column it names: one broken cell, one message
+    cfg = _cfg(**kw)
+    cols, rows = run_experiment(cfg)
+    assert check_experiment(cfg, cols, rows) == []
+    rows[0][cols.index(column)] = value
+    assert check_experiment(cfg, cols, rows) == [expected]
+
+
+def test_hop_survival_seeds_match_monte_carlo():
+    # cell 0 builds from derive_seed(cell, 0) and draws its trials from
+    # derive_seed(cell, 1), exactly as monte_carlo_deficiency draws them
+    cfg = _cfg(name="hop-survival", ns=(300,), psis=(0.4,), ks=(5,),
+               trials=4, seed=12, c7=2.0)
+    cols, rows = run_experiment(cfg)
+    row = dict(zip(cols, rows[0]))
+    cell = derive_seed(12, 0)
+    g = khop_spanner(300, 0.4, 5, 2.0, seed=derive_seed(cell, 0))
+    rep = monte_carlo_deficiency(g, 0.4, 4, hop_bound=5,
+                                 master=derive_seed(cell, 1))
+    assert row["seed"] == cell
+    assert (row["total_mean"], row["total_stderr"]) == \
+        (rep.mean_failed_pairs, rep.stderr)
+    assert rep.mean_failed_pairs == 861.5
+    assert rep.stderr == pytest.approx(29.4519, abs=1e-4)
 
 
 def test_render_csv_formats():

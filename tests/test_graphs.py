@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,19 @@ def test_interval_graph_sizes(n, radius, expected):
 def test_interval_graph_rejects_negative_radius():
     with pytest.raises(ValueError):
         interval_graph(5, -1)
+
+
+def test_complete_graph_memory_stays_near_its_output():
+    # The two int32 edge arrays are 8 bytes per edge; building them through
+    # int64 temporaries of one entry per edge peaks at about 4x that.
+    tracemalloc.start()
+    try:
+        g = complete_graph(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 2048 * 2047 // 2
+    assert peak < 1.5 * 8 * g.m, peak
 
 
 def test_edges_canonicalized():
