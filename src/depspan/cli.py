@@ -103,6 +103,8 @@ def _cmd_filter(args) -> int:
 def _cmd_deficiency(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    if args.trials < 1:
+        raise ValueError(f"need at least one trial, got {args.trials}")
     if args.psi is None and args.source_samples is not None:
         raise ValueError("--source-samples needs --psi")
     g = read_edge_list(args.graph)
@@ -112,7 +114,7 @@ def _cmd_deficiency(args) -> int:
         print(count)
         return 0
     rep = monte_carlo_deficiency(g, args.psi, args.trials, hop_bound=args.hops,
-                                 master=args.seed, jobs=args.jobs,
+                                 master=args.seed,
                                  source_sample=args.source_samples)
     print(rep.CSV_HEADER)
     print(rep.csv_row())
@@ -171,7 +173,7 @@ def _cmd_experiment(args) -> int:
         name=args.name,
         ns=tuple(args.n), psis=tuple(args.psi), ks=tuple(args.k),
         trials=args.trials, seed=args.seed, hops=args.hops,
-        c6=args.c6, c7=args.c7, jobs=args.jobs,
+        c6=args.c6, c7=args.c7,
         source_samples=args.source_samples,
     )
     columns, rows = run_experiment(cfg)
@@ -265,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="if given, Monte Carlo under edge survival psi")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="validated (>= 1) and ignored; trials run in order")
     p.add_argument("--source-samples", type=int, default=None)
     p.set_defaults(func=_cmd_deficiency)
 
@@ -300,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hops", type=int, default=None)
     p.add_argument("--c6", type=float, default=4.0)
     p.add_argument("--c7", type=float, default=4.0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--source-samples", type=int, default=None)
     p.add_argument("--out")
     p.add_argument("--check", action="store_true")

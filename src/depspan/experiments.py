@@ -5,7 +5,7 @@ its columns, a row function `(cfg, cell_seed, *cell) -> list` and a check on
 rows keyed by column. `run_experiment` is the one cell loop: cell i of the
 swept cross product (n-major) gets `derive_seed(cfg.seed, i)`. Construction
 randomness is separated from trial randomness, so re-running an experiment
-reproduces the CSV byte for byte regardless of thread count.
+reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import complete_graph, filter_edges, interval_graph
-from .reach import (DeficiencyReport, _map_trials, expected_two_hop_deficiency,
+from .reach import (DeficiencyReport, expected_two_hop_deficiency,
                     khop_deficiency_split, monte_carlo_deficiency)
 from .rng import derive_seed, derive_stream
 from .spanners1d import (DerivedParams, _assemble, _check_constant,
@@ -46,7 +46,6 @@ class ExperimentConfig:
     hops: int | None = None
     c6: float = 4.0
     c7: float = 4.0
-    jobs: int = 1
     source_samples: int | None = None
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.hops is not None and self.hops < 1:
             raise ValueError("hop bound must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.source_samples is not None:
             if self.source_samples < 1:
                 raise ValueError("source samples must be >= 1")
@@ -107,7 +104,6 @@ def experiment_clique_scaling(cfg, cell_seed, n, psi):
     (n/psi) ln(1/psi); the normalized ratios should be flat across psi."""
     rep = monte_carlo_deficiency(complete_graph(n), psi, cfg.trials,
                                  hop_bound=cfg.hops, master=cell_seed,
-                                 jobs=cfg.jobs,
                                  source_sample=cfg.source_samples)
     denom = (n / psi) * math.log(1.0 / psi) if psi < 1.0 else 0.0
     ratio = rep.mean_failed_pairs / denom if denom > 0 else None
@@ -140,10 +136,9 @@ def experiment_spanner_vs_clique(cfg, cell_seed, n, psi):
     edge in its own canonical order, so failures are not coupled edge by
     edge and combined_stderr treats the two means as independent."""
     spanner = dependable_interval_spanner(n, psi, cfg.c6)
-    rep_s = monte_carlo_deficiency(spanner, psi, cfg.trials,
-                                   master=cell_seed, jobs=cfg.jobs)
+    rep_s = monte_carlo_deficiency(spanner, psi, cfg.trials, master=cell_seed)
     rep_c = monte_carlo_deficiency(complete_graph(n), psi, cfg.trials,
-                                   master=cell_seed, jobs=cfg.jobs)
+                                   master=cell_seed)
     return [n, psi, cfg.c6, interval_radius(n, psi, cfg.c6), cfg.trials,
             cell_seed, rep_s.mean_failed_pairs, rep_s.stderr,
             rep_c.mean_failed_pairs, rep_c.stderr,
@@ -165,7 +160,7 @@ def experiment_sparse_failure(cfg, cell_seed, n, psi):
     """Deficiency of the path graph (radius-1 interval graph): a graph this
     sparse must fail at least n^(3/2)/8 pairs in expectation."""
     rep = monte_carlo_deficiency(interval_graph(n, 1), psi, cfg.trials,
-                                 master=cell_seed, jobs=cfg.jobs)
+                                 master=cell_seed)
     threshold = n ** 1.5 / 8.0
     return [n, psi, cfg.trials, cell_seed, rep.mean_failed_pairs, rep.stderr,
             threshold, int(rep.mean_failed_pairs >= threshold)]
@@ -197,7 +192,7 @@ def experiment_hop_survival(cfg, cell_seed, n, psi, k):
         h = filter_edges(g, psi, derive_stream(mc_seed, t))
         return khop_deficiency_split(h, k, dp.radius)
 
-    splits = _map_trials(run, cfg.trials, cfg.jobs)
+    splits = [run(t) for t in range(cfg.trials)]
     totals = [s + l for s, l in splits]
     rep = DeficiencyReport.from_counts(n, psi, k, mc_seed, totals)
     reference = n / (psi * psi)

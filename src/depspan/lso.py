@@ -157,8 +157,6 @@ class OrderingFamily:
         self.dim = int(dim)
         self.grid = max(4, 1 << math.ceil(math.log2(GRID_FACTOR / eps)))
         self.shifts = _shift_count(dim)
-        if self.shifts % 2 == 0:
-            raise ValueError("shift count must be odd")
         self.offsets = self.grid.bit_length() - 1
         self.paths = (self.grid ** self.dim) // 2
         self._size = 1 + self.shifts * self.offsets * self.paths  # Python int

@@ -20,7 +20,6 @@ small graphs, the hop-bounded engine also at panel heights far below n.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,21 +246,6 @@ class DeficiencyReport:
                 f"{self.mean_failed_pairs:.12g},{self.stderr:.12g},{self.seed}")
 
 
-def _map_trials(fn, trials: int, jobs: int) -> list:
-    """[fn(0), ..., fn(trials - 1)], fanned out over `jobs` threads.
-
-    Threads, not processes: the closure loop holds the GIL and BLAS already
-    runs threaded, so fan-out buys little either way, and the result never
-    depends on `jobs`.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
                            hop_bound: int | None = None, master: int = 0,
                            jobs: int = 1,
@@ -271,9 +255,9 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
     Trial t is filter_edges(g, psi, derive_stream(master, t)) followed by the
     exact failed-pair count of the filtered graph, unless source_sample < n:
     then the same stream draws that many sources afterwards, and the count
-    over them is scaled by n / source_sample (unbiased). The report is
-    a pure function of the arguments; jobs only controls thread fan-out,
-    never the result.
+    over them is scaled by n / source_sample (unbiased). Trials run in
+    order, so the report is a pure function of the arguments. `jobs` is
+    validated (>= 1) and otherwise ignored.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -287,6 +271,8 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
         if hop_bound is not None:
             raise ValueError("source sampling needs unbounded hops; "
                              "hop-bounded counts are always exact")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     n = g.n
     sampled = source_sample is not None and source_sample < n
 
@@ -301,5 +287,5 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
         missing = int((n - sources).sum()) - _closure_reachable_pairs(h, sources)
         return missing * n / source_sample
 
-    counts = _map_trials(run, trials, jobs)
+    counts = [run(t) for t in range(trials)]
     return DeficiencyReport.from_counts(n, psi, hop_bound, master, counts)

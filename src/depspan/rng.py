@@ -25,7 +25,7 @@ class RandomStream:
     """A single independent stream of randomness, identified by (seed, index).
 
     Streams are single-owner: a stream passed to a sampling function is
-    advanced by it. Parallel work must hold distinct derived streams.
+    advanced by it.
     """
 
     __slots__ = ("seed", "index", "_gen")

@@ -2,10 +2,11 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from depspan.cli import main
 from depspan.fileio import read_edge_list, write_edge_list, write_points
-from depspan.graphs import RankGraph, interval_graph
+from depspan.graphs import RankGraph, complete_graph, interval_graph
 from depspan.reach import monte_carlo_deficiency
 
 
@@ -77,6 +78,19 @@ def test_filter_then_deficiency_pipeline(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "n,psi,hop_bound,trials,mean,stderr,seed"
 
+    # --jobs is accepted and changes nothing: the rows equal the in-process
+    # report's, in every Monte Carlo mode
+    k64 = complete_graph(64)
+    for extra, kw in (([], {}), (["--hops", "4"], {"hop_bound": 4}),
+                      (["--source-samples", "8"], {"source_sample": 8})):
+        rep = monte_carlo_deficiency(k64, 0.5, 6, master=7, **kw)
+        want = [rep.CSV_HEADER, rep.csv_row()]
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "deficiency", "--graph", str(g),
+                               "--psi", "0.5", "--trials", "6", "--seed", "7",
+                               "--jobs", jobs, *extra)
+            assert code == 0 and out.splitlines() == want, (extra, jobs)
+
     # filter --stream-index t then deficiency is Monte Carlo trial t
     base = interval_graph(60, 6)
     write_edge_list(base, g)
@@ -116,7 +130,7 @@ def test_validation_errors_exit_2(tmp_path, capsys):
                            "--psi", "0.5", "--trials", "2", *bad)
         assert code == 2 and "error" in err, bad
     # without --psi the count is exact, but bad values are still rejected
-    for bad in (["--source-samples", "4"], ["--jobs", "0"]):
+    for bad in (["--source-samples", "4"], ["--jobs", "0"], ["--trials", "0"]):
         code, out, err = run(capsys, "deficiency", "--graph", str(g), *bad)
         assert code == 2 and "error" in err and not out, bad
     code, _, err = run(capsys, "experiment", "sparse-failure", "--n", "16",
@@ -231,8 +245,13 @@ def test_experiment_csv_and_jobs_identical(tmp_path, capsys):
     base = ["experiment", "sparse-failure", "--n", "64", "--psi", "0.5",
             "--trials", "10", "--seed", "3"]
     assert run(capsys, *base, "--out", str(a))[0] == 0
-    assert run(capsys, *base, "--jobs", "2", "--out", str(b))[0] == 0
+    assert run(capsys, *base, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+    # experiments have no --jobs option; argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_experiment_check_failure_exits_3(capsys):

@@ -6,7 +6,8 @@ import pytest
 
 from depspan.lso import (build_lso_family, compare_points, family_size_bound,
                          locality_witness, _cells, _fixed_point, _level_of_bit,
-                         _low_bit, _walecki_path_of_pair, _walecki_positions)
+                         _low_bit, _shift_count, _walecki_path_of_pair,
+                         _walecki_positions)
 
 
 @pytest.mark.parametrize("ncells", [4, 16, 64, 256])
@@ -65,6 +66,14 @@ def test_build_validation():
     fam = build_lso_family(1 / 32, 6)  # 2.8e18 members still fit
     assert len(fam) == 1 + 35 * 9 * 2 ** 53 < 2 ** 63
     assert fam.ordering(len(fam) - 1).path == fam.paths - 1
+
+
+def test_shift_count_is_odd():
+    # an odd count m keeps the shifted grid lines of every scale moving
+    for d in range(1, 17):
+        assert _shift_count(d) % 2 == 1, d
+    for d in (1, 2, 3):
+        assert build_lso_family(0.5, d).shifts == _shift_count(d)
 
 
 def test_family_deterministic_and_indexable():

@@ -91,3 +91,24 @@ def test_rank_builds_insert_without_a_generic_union():
     sorts = _named_calls(src / "spanners1d.py",
                         {"sort", "argsort", "lexsort", "unique", "graph_union"})
     assert sorts == [("_connectors", "lexsort")], sorts
+
+
+def test_no_module_fans_out_over_threads_or_processes():
+    # trials run in order: on 2 cores a 2-thread trial fan-out ran at
+    # 0.76-0.98x the speed of one thread for unbounded and hop-bounded Monte
+    # Carlo, and at most 1.09x (inside the run-to-run spread) with sampled
+    # sources, so a fan-out comes back only with a benchmark number
+    banned = {"concurrent", "threading", "multiprocessing"}
+    src = Path(depspan.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.split(".")[0] in banned]
+    assert found == [], found
