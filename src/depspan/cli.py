@@ -83,8 +83,7 @@ def _cmd_build_rank(args) -> int:
 def _cmd_build_euclid(args) -> int:
     pts = normalize_points(read_points(args.points))
     h = euclidean_dependable_spanner(pts, args.eps, args.psi, args.c7,
-                                     mode=args.mode, seed=args.seed,
-                                     max_orderings=args.max_orderings)
+                                     seed=args.seed, max_orderings=args.max_orderings)
     _write_graph(h.graph, args.out)
     _write_sidecar(args.out, {
         "construction": "euclid", "n": pts.n, "d": pts.dim,
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--c7", type=float, default=4.0)
-    p.add_argument("--mode", choices=["four-hop", "log-hop"], default="four-hop")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-orderings", type=int, default=DEFAULT_MAX_ORDERINGS)
     p.add_argument("--out")

@@ -9,6 +9,7 @@ normalized coordinates (PointSet.scale converts back to input units).
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -164,34 +165,25 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
                                  max_orderings: int | None = DEFAULT_MAX_ORDERINGS,
                                  ) -> GeometricGraph:
     """Union of 1-D dependable spanners over a locality-sensitive ordering
-    family; the surviving graph keeps (1+eps)-stretch paths of few hops for
-    almost all pairs.
+    family; the surviving graph keeps (1+eps)-stretch paths of at most 4 hops
+    for almost all pairs.
 
-    four-hop mode pairs an eps/8 family with the 4-hop rank construction;
-    log-hop trades hops for sparsity with k ~ log2(1/psi) (the rank build is
-    clamped to hop budget >= 3, its minimum). max_orderings bounds how many
-    family members the union enumerates (evenly spread, always including the
-    identity ordering); None means the whole family.
+    The build pairs an eps/8 family with the 4-hop rank construction. `mode`
+    exists only for callers that pass "four-hop"; any other value raises
+    ValueError. max_orderings bounds how many family members the union
+    enumerates (evenly spread, always including the identity ordering); None
+    means the whole family.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not (0.0 < psi <= 1.0):
-        raise ValueError(f"survival probability must be in (0, 1], got {psi}")
+    if mode != "four-hop":
+        raise ValueError(f"unknown mode {mode!r}; expected 'four-hop'")
     if max_orderings is not None and max_orderings < 1:
         raise ValueError("max_orderings must be >= 1 (or None for the whole "
                          f"family), got {max_orderings}")
     n, d = points.n, points.dim
-    if mode == "four-hop":
-        fam = build_lso_family(eps / 8.0, d)
-        dp = DerivedParams.for_four_hop(n, psi, c7)
-        hop_budget = 4
-    elif mode == "log-hop":
-        k_lso = max(1, math.ceil(math.log2(1.0 / psi)))
-        fam = build_lso_family(min(0.5, eps / (2.0 * k_lso)), d)
-        dp = DerivedParams.for_k_hop(n, psi, max(3, k_lso), c7)
-        hop_budget = 2 * k_lso
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'four-hop' or 'log-hop'")
+    dp = DerivedParams.for_four_hop(n, psi, c7)
+    fam = build_lso_family(eps / 8.0, d)
     ids = _spread_ids(len(fam), max_orderings)
     ei, ej = _mapped_union(n, points.coords, fam, ids, dp, seed)
     weights = np.linalg.norm(points.coords[ei] - points.coords[ej], axis=1)
@@ -202,11 +194,12 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
         "psi": psi,
         "c7": c7,
         "seed": seed,
-        "hop_budget": hop_budget,
+        "hop_budget": 4,
         "family_eps": fam.eps,
         "family_size": len(fam),
         "orderings_used": int(ids.size),
         "density": graph.m / math.comb(n, 2),
+        **asdict(dp),
     }
     return GeometricGraph(graph, points, info)
 

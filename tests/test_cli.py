@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from depspan.cli import main
 from depspan.fileio import read_edge_list, write_edge_list, write_points
 from depspan.graphs import RankGraph, complete_graph, interval_graph
 from depspan.reach import monte_carlo_deficiency
+from depspan.spanners1d import DerivedParams
 
 
 def run(capsys, *argv):
@@ -189,8 +191,18 @@ def test_build_euclid_and_verify_stretch(tmp_path, capsys):
                      "--max-orderings", "8", "--out", str(gfile))
     assert code == 0
     sidecar = json.loads((tmp_path / "e.edges.json").read_text())
-    assert sidecar["mode"] == "four-hop"
+    assert sidecar["mode"] == "four-hop" and sidecar["hop_budget"] == 4
     assert sidecar["family_size"] >= sidecar["orderings_used"]
+    # the sidecar carries the derived parameters the build used
+    dp = asdict(DerivedParams.for_four_hop(48, 0.5, 4.0))
+    assert {key: sidecar[key] for key in dp} == dp
+    # the build has one construction and no --mode option; argparse exits 2
+    for mode in ("log-hop", "four-hop"):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "euclid", "--points", str(pfile), "--eps", "0.25",
+                  "--psi", "0.5", "--mode", mode])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --mode {mode}" in capsys.readouterr().err
 
     code, out, _ = run(capsys, "verify-stretch", "--graph", str(gfile),
                        "--points", str(pfile), "--eps", "0.25", "--hops", "4",

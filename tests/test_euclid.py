@@ -99,8 +99,9 @@ def test_spanner_deterministic_and_seed_sensitive():
 
 def test_spanner_mode_validation():
     ps = _pointset(8, 2)
-    with pytest.raises(ValueError):
-        euclidean_dependable_spanner(ps, 0.25, 0.5, mode="bogus")
+    for mode in ("bogus", "log-hop"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            euclidean_dependable_spanner(ps, 0.25, 0.5, mode=mode)
     with pytest.raises(ValueError):
         euclidean_dependable_spanner(ps, 1.5, 0.5)
     with pytest.raises(ValueError):
@@ -109,14 +110,6 @@ def test_spanner_mode_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_orderings must be >= 1"):
             euclidean_dependable_spanner(ps, 0.25, 0.5, max_orderings=bad)
-
-
-def test_spanner_log_hop_mode_builds():
-    ps = _pointset(48, 2, seed=8)
-    h = euclidean_dependable_spanner(ps, 0.5, 0.25, mode="log-hop", seed=2,
-                                     max_orderings=8)
-    assert h.info["hop_budget"] == 2 * 2  # ceil(log2(4)) = 2
-    assert h.graph.m > 0
 
 
 def test_geometric_weights_satisfy_triangle_inequality():

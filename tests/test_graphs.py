@@ -212,9 +212,8 @@ def test_every_producer_emits_canonical_edge_order(tmp_path, np_rng):
     graphs["four-hop"] = four_hop_spanner(1024, 0.5, 2.0, seed=4)
     graphs["k-hop"] = khop_spanner(1024, 0.5, 5, 2.0, seed=4)
     pts = PointSet(np_rng.random((300, 2)) * 0.999)
-    for mode in ("four-hop", "log-hop"):
-        graphs[f"euclid {mode}"] = euclidean_dependable_spanner(
-            pts, 0.25, 0.9, 1.0, mode=mode, seed=5, max_orderings=4).graph
+    graphs["euclid"] = euclidean_dependable_spanner(
+        pts, 0.25, 0.9, 1.0, seed=5, max_orderings=4).graph
     pairs = list(base.edge_set())
     np_rng.shuffle(pairs)
     graphs["from_edges"] = RankGraph.from_edges(300, [(j, i) for i, j in pairs])

@@ -268,15 +268,11 @@ def test_edge_lists_match_golden_hashes():
         "euclid": (lambda: euclidean_dependable_spanner(
                        points, 0.25, 0.5, seed=3, max_orderings=32).graph,
                    "f8d69c4e7872dda7ba15d14e73f78d4d5332cccfa1268f066403f164e1f85f6a"),
-        # "euclid" is K_n; these pin the order and dedup of sparse unions
-        # (densities 0.452 and 0.630)
+        # "euclid" is K_n; this pins the order and dedup of a sparse union
+        # (density 0.452)
         "euclid-four-hop-sparse": (lambda: euclidean_dependable_spanner(
                        uniform(2048, 11), 0.25, 0.5, seed=4, max_orderings=2).graph,
                    "b187bc658b1e03808cc03551828802c15d2c4939a3843fe4f7b37f7756e8b569"),
-        "euclid-log-hop-sparse": (lambda: euclidean_dependable_spanner(
-                       uniform(1024, 12), 0.25, 0.5, c7=1.0, mode="log-hop", seed=5,
-                       max_orderings=8).graph,
-                   "6c5cf9df1652761d5001d7272a253e3828181ef1f8c4b14b69b3e175286150d4"),
     }
     for name, (build, expected) in builds.items():
         digest = hashlib.sha256(edge_list_text(build()).encode()).hexdigest()
