@@ -97,14 +97,15 @@ def _cells(y: np.ndarray, grid: int, pos) -> np.ndarray:
 
 
 def _walecki_positions(cells: np.ndarray, path: int, ncells: int) -> np.ndarray:
-    """Position of each cell along Walecki path `path` of K_ncells.
+    """Position of each cell along Walecki path `path` of K_ncells (ncells a
+    power of two, so mod N is a mask).
 
     Path p visits p, p+1, p-1, p+2, p-2, ... (mod N); closed form, so no
     permutation table is ever materialized.
     """
     if path < 0:
         return cells
-    e = (cells - path) % ncells
+    e = (cells - path) & (ncells - 1)
     half = ncells // 2
     return np.where(e == 0, 0, np.where(e <= half, 2 * e - 1, 2 * (ncells - e)))
 
@@ -112,12 +113,12 @@ def _walecki_positions(cells: np.ndarray, path: int, ncells: int) -> np.ndarray:
 def _walecki_path_of_pair(a, b, ncells: int):
     """The unique path index whose traversal makes cells a and b adjacent;
     elementwise over arrays of distinct cell pairs."""
-    half = ncells // 2
+    half, mask = ncells // 2, ncells - 1
 
     def start(x, y):  # the path on which y follows x, mod N
-        delta = (y - x) % ncells
-        return (x + np.where(delta % 2 == 1, (delta - 1) // 2,
-                             delta // 2 - half)) % ncells
+        delta = (y - x) & mask
+        return (x + np.where(delta & 1, (delta - 1) // 2,
+                             delta // 2 - half)) & mask
 
     p = start(a, b)
     return np.where(p < half, p, start(b, a))
@@ -135,6 +136,24 @@ def _key_matrix(ordering: Ordering, coords: np.ndarray) -> np.ndarray:
     pos = _low_bit(ordering.offset, h, np.arange(ordering.levels))
     cells = _cells(y, ordering.grid, pos[:, None])  # (levels, n)
     return _walecki_positions(cells, ordering.path, ordering.grid ** ordering.dim).T
+
+
+def _packed_keys(ordering: Ordering, coords: np.ndarray) -> list:
+    """The sort keys as few int64 columns, most significant first: a level
+    key is below G^d, d log2(G) bits, so each column holds
+    floor(63 / (d log2 G)) consecutive levels, the earliest in the highest
+    bits."""
+    bits = ordering.dim * (ordering.grid.bit_length() - 1)
+    per = 63 // bits
+    keys = _key_matrix(ordering, coords).T  # (levels, n)
+    cols = []
+    for start in range(0, len(keys), per):
+        col = keys[start].copy()
+        for row in keys[start + 1:start + per]:
+            col <<= bits
+            col |= row
+        cols.append(col)
+    return cols
 
 
 def _lex_sign(keys: np.ndarray, coords: np.ndarray, ref: int) -> np.ndarray:
@@ -188,8 +207,7 @@ class OrderingFamily:
     def sort_indices(self, o: Ordering, coords: np.ndarray) -> np.ndarray:
         """Point indices (0-based) in ascending order under o."""
         coords = _as_coords(coords, self.dim)
-        keys = _key_matrix(o, coords)
-        return np.lexsort((*coords.T[::-1], *keys.T[::-1]))
+        return np.lexsort((*coords.T[::-1], *_packed_keys(o, coords)[::-1]))
 
     def __repr__(self) -> str:
         return (f"OrderingFamily(eps={self.eps}, dim={self.dim}, "

@@ -171,17 +171,28 @@ def bipartite_connector(x_block: tuple[int, int], y_block: tuple[int, int],
     return out
 
 
-def _connectors(n: int, dp: DerivedParams, seed: int) -> np.ndarray:
-    """The block hierarchy's connector edges longer than the interval radius
-    (the rest are interval edges), an (m, 2) array in canonical order. No
-    pair repeats: the hierarchy's block pairs are distinct and disjoint."""
-    parts = [np.empty((0, 2), dtype=np.int64)]
+def _far_block_pairs(n: int, dp: DerivedParams) -> list:
+    """(stream index, x block, y block) of each hierarchy block pair whose
+    widest cross pair reaches beyond the interval radius. Every pair the
+    other block pairs could draw is an interval edge already, so they draw
+    nothing; each block pair has its own stream, so skipping one changes no
+    other's draws."""
     blocks = block_partition(n, dp.block_size)
     nb = len(blocks)
-    for bi, bj in two_hop_hierarchy(1, nb):
-        stream = derive_stream(seed, (bi - 1) * nb + (bj - 1))
-        pairs = bipartite_connector(blocks[bi - 1], blocks[bj - 1],
-                                    dp.connector_rate, stream)
+    return [((bi - 1) * nb + (bj - 1), blocks[bi - 1], blocks[bj - 1])
+            for bi, bj in two_hop_hierarchy(1, nb).tolist()
+            if blocks[bj - 1][1] - blocks[bi - 1][0] > dp.radius]
+
+
+def _connectors(block_pairs: list, dp: DerivedParams, seed: int) -> np.ndarray:
+    """The connector edges drawn by block_pairs (from _far_block_pairs) that
+    are longer than the interval radius (the rest are interval edges), an
+    (m, 2) array in canonical order. No pair repeats: the hierarchy's block
+    pairs are distinct and disjoint."""
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for index, x_block, y_block in block_pairs:
+        pairs = bipartite_connector(x_block, y_block, dp.connector_rate,
+                                    derive_stream(seed, index))
         parts.append(pairs[pairs[:, 1] - pairs[:, 0] > dp.radius])
     far = np.concatenate(parts, axis=0)
     return far[np.lexsort((far[:, 1], far[:, 0]))]
@@ -190,7 +201,8 @@ def _connectors(n: int, dp: DerivedParams, seed: int) -> np.ndarray:
 def _assemble(n: int, dp: DerivedParams, seed: int) -> RankGraph:
     """Interval graph of radius dp.radius plus the block hierarchy's connector
     edges that reach beyond it, each inserted after its row's interval edges."""
-    return _with_far_edges(interval_graph(n, dp.radius), _connectors(n, dp, seed))
+    return _with_far_edges(interval_graph(n, dp.radius),
+                           _connectors(_far_block_pairs(n, dp), dp, seed))
 
 
 def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:

@@ -329,23 +329,25 @@ class _ShiftFamily(OrderingFamily):
 def test_spanner_whole_family_equals_graph_union(monkeypatch):
     # max_orderings=None unions every member. Real d=1 families have
     # thousands, whose union is K_n at any size a unit test can afford, so
-    # the build runs on a 4-member sub-family and stays sparse
+    # the build runs on a 4-member sub-family and stays sparse. n = 300
+    # leaves a short last block of rows in the mask's fold
     monkeypatch.setattr(euclid, "build_lso_family", _ShiftFamily)
-    n, psi, c7, seed = 512, 0.5, 0.5, 8
-    pts = _pointset(n, 1, seed=8)
-    h = euclidean_dependable_spanner(pts, 0.25, psi, c7, seed=seed,
-                                     max_orderings=None)
+    psi, c7, seed = 0.5, 0.5, 8
     fam = _ShiftFamily(0.25 / 8.0, 1)
-    assert h.info["orderings_used"] == len(fam) == 4
-    union = RankGraph(n, [], [])
-    for oid in range(len(fam)):
-        at = fam.sort_indices(fam.ordering(oid), pts.coords) + 1
-        sub = four_hop_spanner(n, psi, c7, seed=derive_seed(seed, oid))
-        union = graph_union(union, RankGraph(n, at[sub.edge_i - 1],
-                                             at[sub.edge_j - 1]))
-    assert np.array_equal(h.graph.edge_i, union.edge_i)
-    assert np.array_equal(h.graph.edge_j, union.edge_j)
-    assert h.info["density"] < 0.5
+    for n in (300, 512):
+        pts = _pointset(n, 1, seed=8)
+        h = euclidean_dependable_spanner(pts, 0.25, psi, c7, seed=seed,
+                                         max_orderings=None)
+        assert h.info["orderings_used"] == len(fam) == 4
+        union = RankGraph(n, [], [])
+        for oid in range(len(fam)):
+            at = fam.sort_indices(fam.ordering(oid), pts.coords) + 1
+            sub = four_hop_spanner(n, psi, c7, seed=derive_seed(seed, oid))
+            union = graph_union(union, RankGraph(n, at[sub.edge_i - 1],
+                                                 at[sub.edge_j - 1]))
+        assert np.array_equal(h.graph.edge_i, union.edge_i)
+        assert np.array_equal(h.graph.edge_j, union.edge_j)
+        assert h.info["density"] < 0.5
 
 
 def test_queries_share_one_arc_build(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -134,13 +135,26 @@ def test_comparator_total_order_properties(np_rng):
 
 
 def test_sort_indices_consistent_with_comparator(np_rng):
-    fam = build_lso_family(0.5, 2)
-    pts = np_rng.random((50, 2))
-    for oid in (0, 99, 2048):
-        o = fam.ordering(oid)
-        order = fam.sort_indices(o, pts)
-        for a, b in zip(order[:-1], order[1:]):
-            assert compare_points(o, pts[a], pts[b]) == -1
+    # at eps = 1/32 (G = 512) the sort packs 7, 3 and 2 levels per int64
+    # column for d = 1, 2, 3. The first two points are equal in fixed point
+    # under the identity ordering, so only the raw coordinates order them;
+    # the larger comes first, so a stable sort on the keys alone fails.
+    for d, eps in itertools.product((1, 2, 3), (0.5, 1 / 32)):
+        fam = build_lso_family(eps, d)
+        low = np.full(d, 0.25)
+        high = low.copy()
+        high[0] = np.nextafter(0.25, 1.0)
+        pts = np.concatenate([[high, low], np_rng.random((48, d))])
+        assert (_fixed_point(pts[0], 0.0) == _fixed_point(pts[1], 0.0)).all()
+        for oid in (0, 99, 2048, len(fam) - 1):
+            if oid >= len(fam):
+                continue
+            o = fam.ordering(oid)
+            order = fam.sort_indices(o, pts).tolist()
+            for a, b in zip(order[:-1], order[1:]):
+                assert compare_points(o, pts[a], pts[b]) == -1, (d, eps, oid)
+            if oid == 0:
+                assert order.index(1) + 1 == order.index(0)
 
 
 def test_first_differing_level_holds_top_differing_bit(np_rng):

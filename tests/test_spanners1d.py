@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from depspan import spanners1d
 from depspan.euclid import PointSet, euclidean_dependable_spanner
 from depspan.fileio import edge_list_text
 from depspan.graphs import RankGraph, filter_edges, graph_union, interval_graph
@@ -217,6 +218,31 @@ def test_biclique_block_spanner_recount():
     g = biclique_block_spanner(n, psi, c7)
     assert g.m == len(edges)
     assert g.edge_set() == edges
+
+
+def test_inner_block_pairs_draw_no_stream(monkeypatch):
+    # a block pair whose widest cross pair (xs, ye) is within the radius
+    # could draw only interval edges, so it gets no stream and no uniforms
+    drawn = []
+
+    def counting(master, index):
+        drawn.append(index)
+        return derive_stream(master, index)
+
+    monkeypatch.setattr(spanners1d, "derive_stream", counting)
+    assert DerivedParams.for_four_hop(256, 0.5, 4.0).radius == 255
+    four_hop_spanner(256, 0.5)
+    assert drawn == []
+    n = 2048
+    dp = DerivedParams.for_four_hop(n, 0.5, 4.0)
+    blocks = block_partition(n, dp.block_size)
+    nb = len(blocks)
+    hierarchy = two_hop_hierarchy(1, nb).tolist()
+    far = [(bi - 1) * nb + (bj - 1) for bi, bj in hierarchy
+           if blocks[bj - 1][1] - blocks[bi - 1][0] > dp.radius]
+    assert 0 < len(far) < len(hierarchy)
+    four_hop_spanner(n, 0.5, seed=9)
+    assert sorted(drawn) == sorted(far)
 
 
 def _reference_build(n, dp, seed):
