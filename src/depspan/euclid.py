@@ -13,8 +13,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .graphs import RankGraph, interval_graph
-from .lso import build_lso_family
+from .graphs import RankGraph, _check_dense, interval_graph
+from .lso import _sort_indices, build_lso_family
 from .rng import derive_seed
 from .spanners1d import DerivedParams, _connectors, _far_block_pairs
 
@@ -148,6 +148,7 @@ def _mapped_union(n: int, coords: np.ndarray, fam, ids: np.ndarray,
     """Canonical 0-based int32 point pairs of the rank builds (one shared
     seed-free interval graph plus per-ordering connectors) mapped through
     orderings ids; the n^2-byte mask is freed before the caller's weights."""
+    _check_dense(n * n, f"the Euclidean union mask at n={n}")
     base = interval_graph(n, dp.radius)
     block_pairs = _far_block_pairs(n, dp)
     # intp once here, not an int32 index cast per gather
@@ -155,7 +156,7 @@ def _mapped_union(n: int, coords: np.ndarray, fam, ids: np.ndarray,
     seen = np.zeros(n * n, dtype=bool)
     point_at = np.empty(n + 1, dtype=np.int64)  # 0-based point by 1-based rank
     for oid in ids.tolist():
-        point_at[1:] = fam.sort_indices(fam.ordering(oid), coords)
+        point_at[1:] = _sort_indices(fam.ordering(oid), coords)
         row_at = point_at * n
         pairs = _connectors(block_pairs, dp, derive_seed(seed, oid))
         for ri, rj in ((base_i, base_j), (pairs[:, 0], pairs[:, 1])):

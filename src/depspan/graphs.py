@@ -9,6 +9,8 @@ which is how Euclidean graphs reuse this type.
 
 from __future__ import annotations
 
+import functools
+import os
 from typing import Iterable
 
 import numpy as np
@@ -24,6 +26,21 @@ __all__ = [
     "filter_edges",
     "graph_union",
 ]
+
+
+@functools.cache
+def _physical_memory() -> int:
+    """Bytes of physical memory, read once."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_dense(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, a dense engine's planned nbytes when they
+    exceed physical memory."""
+    limit = _physical_memory()
+    if nbytes > limit:
+        raise ValueError(f"{what} needs {nbytes} bytes, more than the "
+                         f"{limit} bytes of physical memory")
 
 
 class RankGraph:

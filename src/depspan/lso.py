@@ -156,6 +156,12 @@ def _packed_keys(ordering: Ordering, coords: np.ndarray) -> list:
     return cols
 
 
+def _sort_indices(o: Ordering, coords: np.ndarray) -> np.ndarray:
+    """OrderingFamily.sort_indices on (n, d) float64 coordinates in [0, 1)
+    that are already checked, as a PointSet's are."""
+    return np.lexsort((*coords.T[::-1], *_packed_keys(o, coords)[::-1]))
+
+
 def _lex_sign(keys: np.ndarray, coords: np.ndarray, ref: int) -> np.ndarray:
     """-1/0/+1 of every row against row `ref`, comparing digit keys first
     (exactly, as integers) and raw coordinates as the final tiebreak."""
@@ -206,8 +212,7 @@ class OrderingFamily:
 
     def sort_indices(self, o: Ordering, coords: np.ndarray) -> np.ndarray:
         """Point indices (0-based) in ascending order under o."""
-        coords = _as_coords(coords, self.dim)
-        return np.lexsort((*coords.T[::-1], *_packed_keys(o, coords)[::-1]))
+        return _sort_indices(o, _as_coords(coords, self.dim))
 
     def __repr__(self) -> str:
         return (f"OrderingFamily(eps={self.eps}, dim={self.dim}, "

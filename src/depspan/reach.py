@@ -8,10 +8,18 @@ single forward sweep. Two exact engines back the pair counts:
   sample), one row of source bits per target vertex, filled in one ascending
   pass (row i is ORed into the rows of its out-neighbors, which are one run
   of the canonical edge order, so no engine re-sorts edges);
-* hop-bounded reachability: boolean powers of I + A, stored as float32 row
-  panels that each hold their rows from the diagonal rightwards, and
-  multiplied panel by panel with BLAS, for every n. Memory is about
-  3 * (n^2 / 2) * 4 bytes plus one panel product.
+* hop-bounded reachability: boolean powers of I + A by square-and-multiply,
+  stored as float32 row panels that each hold their rows from the diagonal
+  rightwards, and multiplied in place, panel by panel, with BLAS, for every
+  n. Before each product the engine counts the pairs its most advanced
+  power B^h still misses. Once those, times the k - h hops still to take,
+  are at most 1/64 of all pairs, it lists them, packs B^h's rows into bits
+  and settles them hop by hop with bit tests against I + A's column bits
+  instead of multiplying pairs that are already connected. Memory is about
+  2 * (n^2 / 2) * 4 bytes plus one panel product (half that when k is a
+  power of two); the bit finish adds two n^2 / 8-byte bit matrices and an
+  n^2-byte scratch, allocated after the power it packs is released. The
+  planned bytes are checked against physical memory before any allocation.
 
 The test suite cross-checks both against brute-force path enumeration on
 small graphs, the hop-bounded engine also at panel heights far below n.
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RankGraph, filter_edges
+from .graphs import RankGraph, _check_dense, filter_edges
 from .rng import derive_stream
 
 __all__ = [
@@ -41,6 +49,17 @@ __all__ = [
 
 # Rows per panel of the hop-bounded engine.
 _TILE = 512
+
+# The hop-bounded engine stops its BLAS products once the missing pairs of
+# its best power, times the hops still to take, are at most this share of
+# all pairs (see _khop_missing). Measured crossover, k = 2 on filtered K_n,
+# where every listed pair is tested once (2 cores, OpenBLAS): at a share of
+# 0.02 the bit finish took 64 against 57 ms for the product at n=2048 and
+# 361 against 351 ms at n=4096; at 0.01, 339 against 423 ms at n=4096.
+_BIT_FINISH_SHARE = 1 / 64
+
+# Bytes of row gathers per chunk of the bit finish.
+_GATHER_BYTES = 4 << 20
 
 _ONE = np.uint64(1)
 
@@ -111,65 +130,179 @@ def deficiency(g: RankGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# hop-bounded engine: upper-triangular boolean matrix powers in row panels
+# hop-bounded engine: upper-triangular boolean matrix powers in row panels,
+# finished by bit tests once few pairs are missing
 
-def _panel_product(x: list, y: list) -> list:
-    """Boolean product Z = (X @ Y) > 0 of two panel lists: panel I of Z is the
-    sum over K >= I of X's panel I, columns of panel K's rows, @ Y's panel K."""
-    z = []
-    for I, xp in enumerate(x):
-        out = xp[:, :_TILE] @ y[I]
-        for K in range(I + 1, len(y)):
-            off = (K - I) * _TILE
-            out[:, off:] += xp[:, off:off + _TILE] @ y[K]
-        np.minimum(out, 1.0, out=out)  # entries are path counts >= 0
-        z.append(out)
-    return z
-
-
-def _zeros_beyond(panels: list, d: int) -> int:
-    """Number of zero entries (i, j) with j - i > d >= 0 of a panel list
-    (in every panel, entry (a, b) has j - i = b - a)."""
-    return int(sum(np.count_nonzero(np.triu(p == 0, d + 1)) for p in panels))
-
-
-def _khop_power(g: RankGraph, k: int) -> list:
-    """(I + A)^k as a boolean matrix, A the adjacency of g's edges i < j.
-
-    A is strictly upper triangular, so every power of I + A is upper
-    triangular and a zero entry above the diagonal is exactly a missing
-    <=k-hop path. The matrix is a list of float32 row panels: panel p holds
-    rows s..s+h-1 and columns s..n-1, s = p * _TILE, h = min(_TILE, n - s),
-    so its entry (a, b) is entry (s + a, s + b) and b - a is the rank
-    distance. Square-and-multiply holds at most three such matrices, so
-    memory is about 3 * (n^2 / 2) * 4 bytes plus one panel product; no dense
-    n x n matrix is allocated.
-    """
+def _unit_panels(g: RankGraph) -> list:
+    """I + A as float32 row panels, A the adjacency of g's edges i < j:
+    panel p holds rows s..s+h-1 and columns s..n-1, s = p * _TILE,
+    h = min(_TILE, n - s), so its entry (a, b) is entry (s + a, s + b)
+    (0-based) and b - a is the rank distance."""
     n, runs = g.n, _out_runs(g)
-    power = []
+    panels = []
     for s in range(0, n, _TILE):
         h = min(_TILE, n - s)
         panel = np.zeros((h, n - s), dtype=np.float32)
         np.fill_diagonal(panel, 1.0)
         a, b = runs[s + 1], runs[s + h + 1]  # out-edges of ranks s+1..s+h
         panel[g.edge_i[a:b] - (s + 1), g.edge_j[a:b] - (s + 1)] = 1.0
-        power.append(panel)
-    result = None
+        panels.append(panel)
+    return panels
+
+
+def _panel_product(x: list, y: list) -> None:
+    """Replace x's panels by those of the boolean product (X @ Y) > 0.
+
+    Panel I of the product is the sum over K >= I of X's panel I, columns of
+    panel K's rows, @ Y's panel K. It reads only X's panel I and Y's panels
+    K >= I, so x may be y (squaring), and panel I is replaced as soon as it
+    is done: one panel product is the only scratch."""
+    for I, xp in enumerate(x):
+        out = xp[:, :_TILE] @ y[I]
+        for K in range(I + 1, len(y)):
+            off = (K - I) * _TILE
+            out[:, off:] += xp[:, off:off + _TILE] @ y[K]
+        np.minimum(out, 1.0, out=out)  # entries are path counts >= 0
+        x[I] = out
+
+
+def _zeros_beyond(panels: list, d: int) -> int:
+    """Number of zero entries (i, j) with j - i > d >= 0 of a panel list
+    (in every panel, entry (a, b) has j - i = b - a)."""
+    total = 0
+    for p in panels:
+        # counted on the int32 view, where +0.0 is the only zero an entry
+        # can hold: about 10x faster than counting float32
+        h = p.shape[0]
+        if d == 0:  # entries left of the diagonal are 0, those on it 1
+            total += p.size - np.count_nonzero(p.view(np.int32)) - h * (h - 1) // 2
+            continue
+        rest = p[:, h + d:]  # more than d right of every row's diagonal
+        total += rest.size - np.count_nonzero(rest.view(np.int32))
+        band = p[:, d + 1:h + d]  # column c is b = c + d + 1: needs c >= a
+        total += np.count_nonzero(np.triu(band == 0))
+    return int(total)
+
+
+def _in_bits(g: RankGraph, width: int) -> np.ndarray:
+    """Columns of I + A packed into width bytes per vertex: bit m of row j
+    (byte m >> 3, bit m & 7) is set iff m == j or (m, j) is an edge, 0-based."""
+    n = g.n
+    bits = np.zeros((n, 8 * width), dtype=bool)
+    flat = bits.reshape(-1)
+    flat[np.arange(n) * (8 * width + 1)] = True
+    chunk = 1 << 17  # edges per chunk: a 1 MB intp index
+    for c in range(0, g.m, chunk):
+        at = g.edge_j[c:c + chunk].astype(np.intp)  # (j-1)*8w + (i-1)
+        at *= 8 * width
+        at += g.edge_i[c:c + chunk]
+        at -= 8 * width + 1
+        flat[at] = True
+    return np.packbits(bits, axis=1, bitorder="little")
+
+
+def _bit_finish(g: RankGraph, panels: list, hops: int) -> np.ndarray:
+    """Rank distances j - i of the pairs that a power B^h of I + A, given as
+    panels, leaves unconnected and that `hops` more hops do not connect.
+
+    B^h's rows are packed into bits and its zero pairs above the diagonal
+    listed; each hop tests every listed pair as rows[i] & colsB[j] against
+    I + A's column bits, then sets the row bits of the pairs it connected,
+    so the rows stay B^(h+t) after hop t. A hop that connects nothing has
+    reached the fixed point, and later hops would connect nothing either.
+    The panels are released one by one while they are packed."""
+    n = g.n
+    width = ((n + 63) >> 6) << 3  # bytes per row, whole uint64 words
+    rows = np.zeros((n, width), dtype=np.uint8)
+    lower = np.tri(len(panels[0]), k=-1, dtype=bool)
+    pi, pj = [], []
+    for p in range(len(panels)):
+        panel, panels[p] = panels[p], None
+        s, h = p * _TILE, panel.shape[0]
+        lead = s & 7  # panel starts need not sit on a byte boundary
+        bits = np.zeros((h, lead + n - s), dtype=bool)
+        nonzero = bits[:, lead:]
+        np.not_equal(panel.view(np.int32), 0, out=nonzero)
+        del panel
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        rows[s:s + h, s >> 3:(s >> 3) + packed.shape[1]] = packed
+        nonzero[:, :h] |= lower[:h, :h]  # no pairs left of the diagonal
+        np.logical_not(nonzero, out=nonzero)
+        a, b = np.divmod(np.flatnonzero(bits), bits.shape[1])
+        pi.append(a + s)
+        pj.append(b + (s - lead))
+    i, j = np.concatenate(pi), np.concatenate(pj)
+    if i.size == 0:
+        return j - i
+    cols = _in_bits(g, width)
+    rows64, cols64 = rows.view(np.uint64), cols.view(np.uint64)
+    chunk = max(1, _GATHER_BYTES // (2 * width))
+    for _ in range(hops):
+        hit = np.concatenate([
+            (rows64[i[c:c + chunk]] & cols64[j[c:c + chunk]]).any(axis=1)
+            for c in range(0, i.size, chunk)])
+        if not hit.any():
+            break
+        hi, hj = i[hit], j[hit]
+        np.bitwise_or.at(rows, (hi, hj >> 3),
+                         np.left_shift(1, hj & 7).astype(np.uint8))
+        i, j = i[~hit], j[~hit]
+        if i.size == 0:
+            break
+    return j - i
+
+
+def _khop_missing(g: RankGraph, k: int, radii: tuple) -> list:
+    """For each d in radii, the number of pairs i < j with j - i > d and no
+    straight path of at most k hops.
+
+    A is strictly upper triangular, so every power of I + A is upper
+    triangular, and a zero entry above the diagonal is exactly a missing
+    <=k-hop path. Square-and-multiply runs BLAS panel products (in place, at
+    most two powers alive); before each one, the power B^h with the most
+    hops so far is checked. Once its zero pairs times the k - h hops still
+    to take are at most _BIT_FINISH_SHARE of all pairs, _bit_finish settles
+    those pairs instead, and the counts come from their list.
+    """
+    n = g.n
+    pairs = n * (n - 1) // 2
     kk = min(k, max(1, n - 1))  # longer straight paths cannot exist
+    matrix = 4 * sum(min(_TILE, n - s) * (n - s) for s in range(0, n, _TILE))
+    powers = 1 if kk & (kk - 1) == 0 else 2
+    _check_dense(powers * matrix + 4 * min(_TILE, n) * n,
+                 f"the {k}-hop engine at n={n}")
+    # square-and-multiply: "sq" squares the power B^(2^t), "mul" multiplies
+    # the accumulated power by it, "copy" starts the accumulated power
+    plan, bits = [], kk
     while True:
-        if kk & 1:
-            result = power if result is None else _panel_product(result, power)
-        kk >>= 1
-        if kk == 0:
-            return result
-        power = _panel_product(power, power)
+        if bits & 1:
+            plan.append("mul" if "copy" in plan else "copy")
+        bits >>= 1
+        if not bits:
+            break
+        plan.append("sq")
+    power = [_unit_panels(g), 1, pairs - g.m]  # panels, hops, zero pairs
+    acc = None
+    for step in plan:
+        if step == "copy":
+            acc = [list(power[0]), power[1], power[2]]
+            continue
+        best = power if acc is None or power[1] >= acc[1] else acc
+        if best[2] * (kk - best[1]) <= _BIT_FINISH_SHARE * pairs:
+            gaps = _bit_finish(g, best[0], kk - best[1])
+            return [int(np.count_nonzero(gaps > d)) for d in radii]
+        target = power if step == "sq" else acc
+        _panel_product(target[0], power[0])
+        target[1] += power[1]
+        target[2] = _zeros_beyond(target[0], 0)
+    return [acc[2] if d == 0 else _zeros_beyond(acc[0], d) for d in radii]
 
 
 def khop_deficiency(g: RankGraph, k: int) -> int:
     """Number of pairs i < j whose minimum straight hop count exceeds k."""
     if k < 1:
         raise ValueError(f"hop bound must be >= 1, got {k}")
-    return _zeros_beyond(_khop_power(g, k), 0)
+    return _khop_missing(g, k, (0,))[0]
 
 
 def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
@@ -179,9 +312,8 @@ def khop_deficiency_split(g: RankGraph, k: int, radius: int) -> tuple[int, int]:
         raise ValueError(f"hop bound must be >= 1, got {k}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    power = _khop_power(g, k)
-    long_fail = _zeros_beyond(power, radius)
-    return _zeros_beyond(power, 0) - long_fail, long_fail
+    total, long_fail = _khop_missing(g, k, (0, radius))
+    return total - long_fail, long_fail
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from depspan.euclid import (GeometricGraph, PointSet, _arcs, _hop_rounds,
                             count_stretch_failures,
                             euclidean_dependable_spanner, extract_bounded_path,
                             normalize_points, stretch_failure_row)
-from depspan import euclid
+from depspan import euclid, graphs, lso
 from depspan.graphs import RankGraph, filter_edges, graph_union
 from depspan.lso import Ordering, OrderingFamily, build_lso_family
 from depspan.rng import derive_seed, derive_stream
@@ -370,3 +370,33 @@ def test_queries_share_one_arc_build(monkeypatch):
     assert queries(h) == expected
     assert queries(h) == expected
     assert len(calls) == 1
+
+
+def test_build_sorts_without_rechecking_coordinates(monkeypatch):
+    # the build sorts the PointSet's coordinates, checked when the PointSet
+    # was made, once per ordering without checking them again; the public
+    # sort_indices still checks what it is given
+    pts = _pointset(64, 2, seed=3)
+    expected = euclidean_dependable_spanner(pts, 0.25, 0.5, seed=2,
+                                            max_orderings=8)
+    checks = []
+    check = lso._as_coords
+    monkeypatch.setattr(lso, "_as_coords",
+                        lambda *a: checks.append(1) or check(*a))
+    built = euclidean_dependable_spanner(pts, 0.25, 0.5, seed=2, max_orderings=8)
+    assert built.graph == expected.graph and checks == []
+    fam = build_lso_family(0.25 / 8.0, 2)
+    for bad in (pts.coords + 0.5, pts.coords[:, :1]):
+        with pytest.raises(ValueError):
+            fam.sort_indices(fam.ordering(0), bad)
+
+
+def test_union_mask_refuses_more_than_physical_memory(monkeypatch):
+    pts = _pointset(64, 2, seed=3)
+    expected = euclidean_dependable_spanner(pts, 0.25, 0.5, max_orderings=2)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 64 * 64)
+    assert euclidean_dependable_spanner(pts, 0.25, 0.5,
+                                        max_orderings=2).graph == expected.graph
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 64 * 64 - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        euclidean_dependable_spanner(pts, 0.25, 0.5, max_orderings=2)

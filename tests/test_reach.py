@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import depspan.graphs as graphs
 import depspan.reach as reach
 from conftest import all_edge_subsets, brute_deficiency, random_edge_subset
 from depspan.graphs import RankGraph, complete_graph, filter_edges, interval_graph
@@ -97,8 +98,14 @@ def test_khop_matches_brute_force_exhaustive_n4():
 
 # Rows per panel for the k-hop engine: the default (one panel at these
 # sizes), small ones whose last panels are ragged and whose split masks cross
-# panel borders, and one-row panels.
+# panel borders, and one-row panels. Heights 7 and 1 start panels off byte
+# boundaries, which the bit finish's row packing must handle.
 _TILES = (reach._TILE, 4, 7, 1)
+
+# Shares for the bit finish: never (BLAS products until no pair is missing),
+# the default, two that switch after some products on these small graphs, and
+# always (from I + A itself, before any product).
+_SHARES = (0.0, reach._BIT_FINISH_SHARE, 0.1, 0.5, math.inf)
 
 
 def test_khop_engines_agree_with_brute_force_sampled(np_rng, monkeypatch):
@@ -107,29 +114,74 @@ def test_khop_engines_agree_with_brute_force_sampled(np_rng, monkeypatch):
             edges = random_edge_subset(n, np_rng)
             g = RankGraph.from_edges(n, sorted(edges))
             assert deficiency(g) == brute_deficiency(n, edges)
-            for k in (1, 2, 4):
+            for k in range(1, 9):
                 expected = brute_deficiency(n, edges, k)
                 for tile in _TILES:
                     monkeypatch.setattr(reach, "_TILE", tile)
-                    assert khop_deficiency(g, k) == expected
+                    for share in _SHARES:
+                        monkeypatch.setattr(reach, "_BIT_FINISH_SHARE", share)
+                        assert khop_deficiency(g, k) == expected, (k, tile, share)
 
 
-def test_khop_split_engines_agree(np_rng, monkeypatch):
-    g = filter_edges(interval_graph(60, 9), 0.5, derive_stream(5, 0))
-    hops = {i: straight_hops(g, i) for i in range(1, g.n + 1)}
-    for k in (2, 4):
-        for radius in (0, 5, 9, 20, 59):
-            brute_long = sum(
-                1 for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
-                if j - i > radius and hops[i][j] > k)
-            brute_total = sum(
-                1 for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
-                if hops[i][j] > k)
+def test_khop_split_engines_agree(monkeypatch):
+    # a sparse graph whose powers keep many missing pairs (BLAS products to
+    # the end at the default share) and a dense one whose B^2 misses few
+    # (bit finish at the default share)
+    cases = (filter_edges(interval_graph(60, 9), 0.5, derive_stream(5, 0)),
+             filter_edges(complete_graph(60), 0.9, derive_stream(5, 1)))
+    radii = (0, 5, 9, 20, 59)
+    for g in cases:
+        hops = {i: straight_hops(g, i) for i in range(1, g.n + 1)}
+        for k in range(1, 9):
+            brute = [sum(1 for i in range(1, g.n + 1)
+                         for j in range(i + 1, g.n + 1)
+                         if j - i > radius and hops[i][j] > k)
+                     for radius in radii]
+            radius = radii[k % len(radii)]
             for tile in _TILES:
                 monkeypatch.setattr(reach, "_TILE", tile)
-                short, long_ = khop_deficiency_split(g, k, radius)
-                assert (short + long_, long_) == (brute_total, brute_long)
-                assert short + long_ == khop_deficiency(g, k)
+                for share in (0.0, reach._BIT_FINISH_SHARE, math.inf):
+                    monkeypatch.setattr(reach, "_BIT_FINISH_SHARE", share)
+                    assert reach._khop_missing(g, k, radii) == brute
+                    short, long_ = khop_deficiency_split(g, k, radius)
+                    assert (short + long_, long_) == (
+                        brute[0], brute[radii.index(radius)])
+                    assert khop_deficiency(g, k) == brute[0]
+
+
+def test_bit_finish_replaces_products_only_for_few_missing_pairs(monkeypatch):
+    # k = 4 takes two squarings by BLAS; filtered K_n misses few pairs after
+    # the first, so the bit finish settles the rest, while a path-like graph
+    # still misses many and runs both
+    products = []
+    product = reach._panel_product
+    monkeypatch.setattr(reach, "_panel_product",
+                        lambda x, y: products.append(1) or product(x, y))
+    dense = filter_edges(complete_graph(300), 0.9, derive_stream(4, 0))
+    sparse = filter_edges(interval_graph(300, 3), 0.9, derive_stream(4, 0))
+    for g, runs in ((dense, 1), (sparse, 2)):
+        products.clear()
+        count = khop_deficiency(g, 4)
+        assert len(products) == runs
+        with monkeypatch.context() as blas_only:
+            blas_only.setattr(reach, "_BIT_FINISH_SHARE", 0.0)
+            assert khop_deficiency(g, 4) == count
+
+
+def test_khop_refuses_more_than_physical_memory(monkeypatch):
+    # n = 64 is one panel: one 64 x 64 float32 power plus one panel product
+    # for k = 2, two powers for k = 3
+    g = interval_graph(64, 2)
+    planned = {2: 2 * 64 * 64 * 4, 3: 3 * 64 * 64 * 4}
+    expected = {k: khop_deficiency(g, k) for k in planned}
+    for k, nbytes in planned.items():
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes)
+        assert khop_deficiency(g, k) == expected[k]
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            khop_deficiency(g, k)
+        with pytest.raises(ValueError, match="physical memory"):
+            khop_deficiency_split(g, k, 3)
 
 
 def test_khop_edge_cases(monkeypatch):
@@ -224,20 +276,24 @@ def test_monte_carlo_matches_filter_edges_coupling(monkeypatch):
             assert list(rep.per_trial_counts) == expected
 
 
-def test_khop_memory_stays_below_two_dense_matrices(monkeypatch):
-    # Three upper-triangular powers plus one panel product come to about
-    # 1.1-1.7 dense float32 n x n matrices; an engine holding two dense
-    # matrices fails.
+def test_khop_memory_stays_below_one_and_a_half_dense_matrices(monkeypatch):
+    # Products run in place, so at most two upper-triangular powers plus one
+    # panel product are alive, and the bit finish's bit rows and byte
+    # scratch stay below that: about 0.7-1.35 dense float32 n x n matrices.
+    # Three powers (about 1.6) fail, and so does an engine holding two dense
+    # matrices.
     monkeypatch.setattr(reach, "_TILE", 64)
-    g = filter_edges(interval_graph(1000, 8), 0.7, derive_stream(2, 0))
-    for k in (3, 4, 7):
-        tracemalloc.start()
-        try:
-            khop_deficiency(g, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * g.n * g.n * 4, (k, peak)
+    sparse = filter_edges(interval_graph(1000, 8), 0.7, derive_stream(2, 0))
+    dense = filter_edges(complete_graph(1000), 0.9, derive_stream(2, 0))
+    for g in (sparse, dense):
+        for k in (3, 4, 7):
+            tracemalloc.start()
+            try:
+                khop_deficiency(g, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * g.n * g.n * 4, (g, k, peak)
 
 
 def test_monte_carlo_deterministic_and_thread_invariant():
