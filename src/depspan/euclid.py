@@ -242,6 +242,21 @@ def _arcs(g: RankGraph):
     return tail, w, head, starts, head[starts]
 
 
+def _full_round(d: np.ndarray, edges):
+    """One Bellman round over every arc, in place: d[v] becomes the least of
+    d[v] and fl(d[t] + w) over the arcs t -> v, every sum reading d from
+    before the round. Returns the arcs' sums, or None if nothing changed."""
+    tail, w, head, starts, heads = edges
+    cand = d[tail]
+    cand += w
+    best = np.minimum.reduceat(cand, starts)
+    lower = best < d[heads]
+    if not lower.any():
+        return None
+    d[heads[lower]] = best[lower]
+    return cand
+
+
 def _hop_rounds(n: int, edges, source: int, k: int, paths: bool = False):
     """(d, preds): d[v] is the cheapest walk source -> v of at most
     min(k, n - 1) edges (d[0] unused); edges comes from _arcs.
@@ -252,26 +267,63 @@ def _hop_rounds(n: int, edges, source: int, k: int, paths: bool = False):
     reversed(preds) yields a path whose weights, summed from the source,
     give d[v] exactly. Rounds stop once nothing changes, so preds may be
     shorter than k."""
-    tail, w, head, starts, heads = edges
+    head = edges[2]
     d = np.full(n + 1, np.inf)
     d[source] = 0.0
     preds = []
-    if tail.size == 0:
+    if head.size == 0:
         return d, preds
     for _ in range(min(k, n - 1)):
-        cand = d[tail]
-        cand += w
-        best = np.minimum.reduceat(cand, starts)
-        lower = best < d[heads]
-        if not lower.any():
+        cand = _full_round(d, edges)
+        if cand is None:
             break
-        d[heads[lower]] = best[lower]
         if paths:
             pred = np.full(n + 1, -1, dtype=np.intp)
             hit = np.flatnonzero(cand == d[head])
             pred[head[hit]] = hit
             preds.append(pred)
     return d, preds
+
+
+def _open_targets(n: int, edges, into: np.ndarray, source: int, k: int,
+                  first: int, limit: np.ndarray) -> np.ndarray:
+    """Sorted 1-based targets v >= first whose cheapest walk from source of
+    at most min(k, n - 1) edges is longer than limit[v - first].
+
+    A target is open while its best walk so far exceeds its limit; walks only
+    get shorter, so a closed target stays closed. Round 1 scatters the
+    source's own arcs, middle rounds run _full_round only while some target
+    is open and stop once nothing changes, and the last round reads only the
+    arcs into open targets. Every distance compared is the minimum of the
+    same sums as in _hop_rounds, so the answer is exactly that of comparing
+    _hop_rounds' d. into[v]:into[v + 1] are the arcs into v."""
+    tail, w = edges[0], edges[1]
+    d = np.full(n + 1, np.inf)
+    d[source] = 0.0
+    a, b = into[source], into[source + 1]
+    d[tail[a:b]] = w[a:b]  # RankGraph edges are distinct: one arc per target
+    opened = np.flatnonzero(d[first:] > limit) + first
+    if a == b:  # an isolated source reaches nothing more
+        return opened
+    rounds = min(k, n - 1)
+    for _ in range(rounds - 2):
+        if opened.size == 0 or _full_round(d, edges) is None:
+            return opened
+        opened = opened[d[opened] > limit[opened - first]]
+    if rounds == 1 or opened.size == 0:
+        return opened
+    lo, hi = into[opened], into[opened + 1]
+    fed = hi > lo  # a target without arcs keeps its distance
+    if not fed.any():
+        return opened
+    lo, sizes = lo[fed], hi[fed] - lo[fed]
+    offsets = np.cumsum(sizes) - sizes
+    arcs = np.arange(offsets[-1] + sizes[-1]) + np.repeat(lo - offsets, sizes)
+    cand = d[tail[arcs]]
+    cand += w[arcs]
+    still = np.ones(opened.size, dtype=bool)
+    still[fed] = np.minimum.reduceat(cand, offsets) > limit[opened[fed] - first]
+    return opened[still]
 
 
 def _check_query(h: GeometricGraph, u: int, v: int, k: int) -> None:
@@ -307,23 +359,47 @@ def extract_bounded_path(h: GeometricGraph, u: int, v: int, k: int) -> list[int]
 # ---------------------------------------------------------------------------
 # all-pairs stretch accounting
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+
+
+def _arcs_into(h: GeometricGraph) -> np.ndarray:
+    """into[v]:into[v + 1] are the ids of h.arcs' arcs into vertex v."""
+    return np.searchsorted(h.arcs[2], np.arange(h.n + 2))
+
+
 def stretch_failure_row(h: GeometricGraph, u: int, eps: float,
                         k: int) -> np.ndarray:
     """Boolean vector over vertices 1..n: entry v - 1 is True where v has no
-    <=k-hop path from u of length <= (1+eps)|uv| (normalized coordinates)."""
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    <=k-hop path from u of length <= (1+eps)|uv| (normalized coordinates).
+
+    Rounds stop early once every target meets its limit (_open_targets), so
+    the row costs between one scatter of u's arcs and about min(k, n - 1)
+    rounds over all 2m arcs; memory is O(n + m)."""
+    _check_eps(eps)
     _check_query(h, u, u, k)
     coords = h.points.coords
-    d = _hop_rounds(h.n, h.arcs, u, k)[0][1:]
-    return d > (1.0 + eps) * np.linalg.norm(coords - coords[u - 1], axis=1)
+    limit = (1.0 + eps) * np.linalg.norm(coords - coords[u - 1], axis=1)
+    row = np.zeros(h.n, dtype=bool)
+    row[_open_targets(h.n, h.arcs, _arcs_into(h), u, k, 1, limit) - 1] = True
+    return row
 
 
 def count_stretch_failures(h: GeometricGraph, points: PointSet, eps: float,
                            k: int) -> int:
     """Number of unordered pairs whose best <=k-hop path exceeds
-    (1+eps) times their Euclidean distance; exact over all pairs."""
+    (1+eps) times their Euclidean distance; exact over all pairs.
+
+    Each source u asks _open_targets only about targets v > u, so its rounds
+    stop as soon as those pairs all meet their limits; memory is O(n + m)."""
     if not np.array_equal(points.coords, h.points.coords):
         raise ValueError("point set does not match the graph")
-    return sum(int(stretch_failure_row(h, u, eps, k)[u:].sum())
-               for u in range(1, h.n))
+    _check_eps(eps)
+    _check_query(h, 1, 1, k)
+    n, edges, into, coords = h.n, h.arcs, _arcs_into(h), h.points.coords
+    total = 0
+    for u in range(1, n):
+        limit = (1.0 + eps) * np.linalg.norm(coords[u:] - coords[u - 1], axis=1)
+        total += _open_targets(n, edges, into, u, k, u + 1, limit).size
+    return total

@@ -145,7 +145,15 @@ def _unit_panels(g: RankGraph) -> list:
         panel = np.zeros((h, n - s), dtype=np.float32)
         np.fill_diagonal(panel, 1.0)
         a, b = runs[s + 1], runs[s + h + 1]  # out-edges of ranks s+1..s+h
-        panel[g.edge_i[a:b] - (s + 1), g.edge_j[a:b] - (s + 1)] = 1.0
+        # one flat intp index: a 2-D fancy index would convert both int32
+        # slices to intp on its own
+        flat = g.edge_i[a:b].astype(np.intp)
+        flat -= s + 1
+        flat *= n - s
+        flat += g.edge_j[a:b]
+        flat -= s + 1
+        panel.ravel()[flat] = 1.0
+        del flat  # freed before the next panel is allocated
         panels.append(panel)
     return panels
 

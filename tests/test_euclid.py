@@ -195,6 +195,85 @@ def test_hop_rounds_match_dense_reference():
                     == np.triu(bad, k=1).sum())
 
 
+def _reference_failures(h, eps, k):
+    """Failed pairs from the round-by-round engine's full distance matrix."""
+    return _engine_matrix(h, k) > (1.0 + eps) * dense_distances(h.points.coords)
+
+
+def test_open_target_counts_match_round_by_round_engine():
+    ps = _pointset(150, 2, seed=17)
+    full = euclidean_dependable_spanner(ps, 0.25, 0.5, c7=1.0, seed=2,
+                                        max_orderings=4)
+    assert full.info["density"] < 1.0
+    graphs = [GeometricGraph(filter_edges(full.graph, 0.5, derive_stream(4, 0)),
+                             ps), full, _isolated_vertex_graph(),
+              GeometricGraph(RankGraph.from_edges(150, [], weights=[]), ps)]
+    for h in graphs:
+        for k in (1, 2, 3, 4, 5, 6, h.n - 1, 10 ** 9):
+            for eps in (0.0, 0.25):
+                bad = _reference_failures(h, eps, k)
+                assert np.array_equal(_failure_rows(h, eps, k), bad), (h, k)
+                assert (count_stretch_failures(h, h.points, eps, k)
+                        == np.triu(bad, k=1).sum()), (h, k)
+
+
+def test_open_target_counts_keep_exact_ties():
+    # collinear points at dyadic coordinates: every straight walk sums to
+    # exactly |uv|, so at eps = 0 each such pair sits on its limit and a
+    # target closed by "<=" in one engine must be closed in the other
+    n = 96
+    x = np.random.default_rng(6).permutation(n) / 128.0
+    ps = PointSet(np.column_stack([x, np.full(n, 0.25)]))
+    order = np.argsort(x) + 1
+    path = RankGraph.from_edges(n, [(min(a, b), max(a, b)) for a, b
+                                    in zip(order[:-1].tolist(), order[1:].tolist())])
+    built = euclidean_dependable_spanner(ps, 0.25, 0.5, c7=1.0, seed=3,
+                                         max_orderings=4)
+
+    def exact(g):  # the same edges weighted by their endpoints' distances
+        w = np.linalg.norm(ps.coords[g.edge_i - 1] - ps.coords[g.edge_j - 1],
+                           axis=1)
+        return GeometricGraph(RankGraph(n, g.edge_i, g.edge_j, w), ps)
+
+    for g in (path, built.graph, filter_edges(built.graph, 0.5,
+                                              derive_stream(9, 0))):
+        h = exact(g)
+        for k in (1, 2, 3, 4, 6):
+            bad = dense_hop_distances(h.graph, k) > dense_distances(ps.coords)
+            assert np.array_equal(_failure_rows(h, 0.0, k), bad), k
+            assert count_stretch_failures(h, ps, 0.0, k) == np.triu(bad, 1).sum()
+    # on the path a pair ties its limit exactly when it is at most k hops apart
+    assert count_stretch_failures(exact(path), ps, 0.0, 3) == (n - 3) * (n - 4) // 2
+
+
+def test_open_target_rounds_stop_when_no_target_is_open(monkeypatch):
+    # a complete graph with exact weights meets every limit in round 1, so no
+    # full round runs; a path leaves far targets open, so full rounds run
+    calls = []
+    full_round = euclid._full_round
+    monkeypatch.setattr(euclid, "_full_round",
+                        lambda *a: calls.append(1) or full_round(*a))
+    n = 40
+    ps = _pointset(n, 2, seed=12)
+    iu = np.triu_indices(n, 1)
+    w = np.linalg.norm(ps.coords[iu[0]] - ps.coords[iu[1]], axis=1)
+    complete = GeometricGraph(RankGraph(n, iu[0] + 1, iu[1] + 1, w), ps)
+    for eps in (0.0, 0.25):
+        assert count_stretch_failures(complete, ps, eps, 4) == 0
+        assert not _failure_rows(complete, eps, 4).any()
+    assert calls == []
+    order = np.argsort(ps.coords[:, 0]) + 1
+    lo, hi = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+    path = RankGraph.from_edges(n, zip(lo.tolist(), hi.tolist()),
+                                np.linalg.norm(ps.coords[lo - 1]
+                                               - ps.coords[hi - 1], axis=1))
+    h = GeometricGraph(path, ps)
+    bad = _reference_failures(h, 0.25, 4)
+    calls.clear()
+    assert count_stretch_failures(h, ps, 0.25, 4) == np.triu(bad, 1).sum()
+    assert len(calls) >= n - 1  # at least one full round per source
+
+
 def test_bounded_hop_monotone_and_converges(np_rng):
     ps = _pointset(24, 2, seed=7)
     full = euclidean_dependable_spanner(ps, 0.5, 0.5, seed=4, max_orderings=4)
