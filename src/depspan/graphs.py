@@ -109,10 +109,15 @@ class RankGraph:
         return f"RankGraph(n={self.n}, m={self.m}{tag})"
 
 
+def _edge_keys(n, lo, hi):
+    """Keys lo*(n+1) + hi of edges lo < hi, increasing in canonical order."""
+    return lo.astype(np.int64) * (n + 1) + hi
+
+
 def _key_order(n, lo, hi):
-    """Stable order of edges lo < hi into canonical order (keys lo*(n+1) + hi)
-    and the mask, in that order, of each edge's first copy."""
-    keys = lo.astype(np.int64) * (n + 1) + hi
+    """Stable order of edges lo < hi into canonical order (by _edge_keys) and
+    the mask, in that order, of each edge's first copy."""
+    keys = _edge_keys(n, lo, hi)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.ones(keys.shape[0], dtype=bool)
@@ -144,17 +149,24 @@ def _canonicalize(n, edge_i, edge_j, weights):
     lo, hi = np.minimum(edge_i, edge_j), np.maximum(edge_i, edge_j)
     if lo.size and (lo.min() < 1 or hi.max() > n):
         raise ValueError(f"edge endpoint out of range [1, {n}]")
-    order, first = _key_order(n, lo, hi)
-    if not first.all():
-        row = int(order[~first].min())
-        raise _EdgeError(f"duplicate edge ({lo[row]}, {hi[row]})", row)
+    keys = _edge_keys(n, lo, hi)
+    order = None  # strictly increasing keys: no duplicates, identity order
+    if np.any(keys[1:] <= keys[:-1]):
+        del keys  # _key_order's own are freed as it sorts
+        order, first = _key_order(n, lo, hi)
+        if not first.all():
+            row = int(order[~first].min())
+            raise _EdgeError(f"duplicate edge ({lo[row]}, {hi[row]})", row)
     if weights is not None:
         bad = ~(np.isfinite(weights) & (weights > 0))
         if bad.any():
             raise _EdgeError("edge weights must be finite and positive",
                              int(bad.argmax()))
-        weights = weights[order]
-    return lo[order], hi[order], weights
+        # a copy either way: the graph owns its weights
+        weights = weights.copy() if order is None else weights[order]
+    if order is not None:
+        lo, hi = lo[order], hi[order]
+    return lo, hi, weights
 
 
 def complete_graph(n: int) -> RankGraph:

@@ -1,4 +1,6 @@
 import io
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ from depspan.cli import main
 from depspan.fileio import (FormatError, edge_list_text, parse_edge_list,
                             parse_points, points_text, read_edge_list,
                             read_points, write_edge_list, write_points)
-from depspan.graphs import RankGraph, complete_graph
+from depspan.graphs import RankGraph, complete_graph, interval_graph
 from depspan.spanners1d import four_hop_spanner
 
 
@@ -30,6 +32,56 @@ def test_weighted_round_trip(tmp_path):
     back = read_edge_list(path)
     assert back == g
     assert edge_list_text(back) == path.read_text()
+
+
+def _formula(g: RankGraph) -> str:
+    """The unweighted edge-list text, one f-string per line."""
+    return "".join([f"{g.n} {g.m}\n"] + [
+        f"{i} {j}\n" for i, j in zip(g.edge_i.tolist(), g.edge_j.tolist())])
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_edge_list_text_at_digit_boundaries(n):
+    # every id width from 1 to that of n meets every other on some line
+    g = complete_graph(n)
+    assert edge_list_text(g) == _formula(g)
+    far = interval_graph(n, 2)
+    assert edge_list_text(far) == _formula(far)
+
+
+def test_edge_list_text_of_the_largest_ids(tmp_path):
+    top = 2**31 - 1
+    ids = [1, 9, 10, 999_999_999, 10**9, top - 1, top]
+    g = RankGraph.from_edges(top, [(a, b) for a in ids for b in ids if a < b])
+    assert edge_list_text(g) == _formula(g)
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    assert read_edge_list(path) == g
+
+
+@pytest.mark.parametrize("n", [1, 5, 2**31 - 1])
+def test_edge_list_text_without_edges(tmp_path, n):
+    g = RankGraph(n, [], [])
+    assert edge_list_text(g) == f"{n} 0\n"
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    assert path.read_bytes() == f"{n} 0\n".encode()
+    assert read_edge_list(path) == g
+
+
+@pytest.mark.parametrize("rows", [1, 2, 44, 45, 46, 1000])
+def test_edge_list_chunk_boundaries(tmp_path, monkeypatch, capsys, rows):
+    # K_10 has 45 edges: chunks of one edge, an uneven last chunk, a chunk
+    # one short of the list, the list exactly, and one chunk larger than it
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", rows)
+    g = complete_graph(10)
+    want = _formula(g)
+    assert edge_list_text(g) == want
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    assert path.read_bytes() == want.encode()
+    assert main(["gen-clique", "--n", "10"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
@@ -54,7 +106,7 @@ def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
     assert out.getvalue() == edge_list_text(complete_graph(5))
 
 
-@pytest.mark.parametrize("text,message", [
+EDGE_LIST_ERRORS = [
     ("", "missing header"),
     ("3\n", "header"),
     ("3 1\n", "promises 1 edges"),
@@ -84,20 +136,71 @@ def test_edge_list_written_in_chunks(tmp_path, monkeypatch):
     # int32 edge storage holds vertex ids up to 2**31 - 1
     ("3000000000 1\n1 3000000000\n", "line 1: vertex count"),
     ("2147483648 0\n", "line 1: vertex count"),
-])
+]
+
+
+@pytest.mark.parametrize("text,message", EDGE_LIST_ERRORS)
 def test_edge_list_errors(text, message):
     with pytest.raises(FormatError, match=message):
         parse_edge_list(text)
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text,message", EDGE_LIST_ERRORS)
+def test_edge_list_file_errors(tmp_path, text, message):
+    # numpy's reader opens these CR-free files by name; the line scan that
+    # names the faulty line still reads the text
+    path = tmp_path / "bad.edges"
+    path.write_bytes(text.encode())
+    assert fileio._read_file(path) == (text, str(path))
+    with pytest.raises(FormatError, match=message):
+        read_edge_list(path)
+
+
+SPACED_TEXTS = [
     "5 2\r\n1 2\r\n2 4\r\n",                       # CRLF
     "5 2\n1\t2\n\t2\t 4\t\n",                      # tab-separated
     "5 2\n\n1\x0b2\x0c\n\r\n2\x1c\x1d\x1e\x1f4\n\n",  # every other separator
     "5 2\n1\r2\n2\r4\n",                           # a bare CR splits tokens
-])
+]
+
+
+@pytest.mark.parametrize("text", SPACED_TEXTS)
 def test_edge_list_whitespace_accepted(text):
     assert parse_edge_list(text) == RankGraph.from_edges(5, [(1, 2), (2, 4)])
+
+
+@pytest.mark.parametrize("text", SPACED_TEXTS + [
+    "5 2\n\n1\x0b2\x0c\n\n2\x1c\x1d\x1e\x1f4\n\n",  # no CR: numpy opens the file
+])
+def test_edge_list_file_whitespace_accepted(tmp_path, text):
+    # a CR stays in the text read from the file (no newline translation) and
+    # only splits tokens; numpy's reader, which would end a line there, gets
+    # the text from memory instead of the file name
+    path = tmp_path / "g.edges"
+    path.write_bytes(text.encode())
+    assert fileio._read_file(path) == (text, None if "\r" in text else str(path))
+    assert read_edge_list(path) == RankGraph.from_edges(5, [(1, 2), (2, 4)])
+
+
+def test_edge_list_read_from_memory_when_numpy_would_reopen_it(tmp_path):
+    # numpy's reader unpacks a file by its suffix and would read a pipe a
+    # second time, so such files are parsed from the text already read
+    g = complete_graph(6)
+    packed = tmp_path / "g.edges.gz"
+    write_edge_list(g, packed)
+    assert fileio._read_file(packed)[1] is None
+    assert read_edge_list(packed) == g
+    if not hasattr(os, "mkfifo"):
+        return
+    pipe = tmp_path / "g.pipe"
+    os.mkfifo(pipe)
+    for read, check in ((fileio._read_file, lambda got: got[1] is None),
+                        (read_edge_list, lambda got: got == g)):
+        writer = threading.Thread(target=write_edge_list, args=(g, pipe))
+        writer.start()
+        got = read(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive() and check(got)
 
 
 def test_edge_list_parse_round_trip():

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from depspan import graphs
 from depspan.euclid import PointSet, euclidean_dependable_spanner
-from depspan.fileio import edge_list_text, read_edge_list
-from depspan.graphs import (RankGraph, complete_graph, filter_edges,
-                            graph_union, interval_graph)
+from depspan.fileio import FormatError, edge_list_text, parse_edge_list, read_edge_list
+from depspan.graphs import (RankGraph, _canonicalize, _EdgeError, complete_graph,
+                            filter_edges, graph_union, interval_graph)
 from depspan.rng import derive_stream
 from depspan.spanners1d import (biclique_block_spanner,
                                 dependable_interval_spanner, four_hop_spanner,
@@ -61,6 +62,71 @@ def test_edges_canonicalized():
     # empty endpoint lists carry no dtype worth checking
     assert RankGraph(3, [], []).m == RankGraph.from_edges(3, []).m == 0
     assert RankGraph(2**31 - 1, [], []).n == 2**31 - 1
+
+
+def _argsorted(i, j):
+    """Canonical (lo, hi) of the edges i, j by a full lexicographic sort."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order]
+
+
+def test_canonical_input_skips_the_sort(monkeypatch, np_rng):
+    # edges already in strictly increasing key order come back as given,
+    # equal to what the sort makes of them shuffled, and never reach the sort
+    g = filter_edges(interval_graph(300, 40), 0.5, derive_stream(3, 0))
+    i, j = g.edge_i.astype(np.int64), g.edge_j.astype(np.int64)
+    w = np_rng.random(g.m) + 0.5
+    perm = np_rng.permutation(g.m)
+    shuffled = RankGraph(g.n, j[perm], i[perm], w[perm])
+    monkeypatch.setattr(graphs, "_key_order", None)
+    lo, hi, weights = _canonicalize(g.n, i, j, w)
+    assert [a.tolist() for a in (lo, hi)] == [a.tolist() for a in _argsorted(i, j)]
+    assert np.array_equal(weights, w) and not np.shares_memory(weights, w)
+    assert RankGraph(g.n, i, j, w) == shuffled
+    assert w.flags.writeable  # the graph keeps a copy of the weight table
+
+
+@pytest.mark.parametrize("edges,row", [
+    ([(1, 2), (2, 3), (2, 3), (3, 4)], 2),    # sorted, adjacent duplicate
+    ([(1, 2), (4, 5), (4, 5)], 2),
+    ([(3, 4), (1, 2), (2, 1)], 2),            # unsorted, a reversed copy
+    ([(2, 3), (1, 2), (3, 4), (1, 2)], 3),
+])
+def test_duplicate_named_by_its_second_copy(edges, row):
+    i, j = np.array(edges).T
+    with pytest.raises(_EdgeError, match="duplicate edge") as err:
+        _canonicalize(5, i, j, None)
+    assert err.value.row == row
+    lo, hi = min(edges[row]), max(edges[row])
+    with pytest.raises(ValueError, match=rf"duplicate edge \({lo}, {hi}\)"):
+        RankGraph.from_edges(5, edges)
+    if all(a < b for a, b in edges):
+        text = "".join([f"5 {len(edges)}\n"] + [f"{a} {b}\n" for a, b in edges])
+        with pytest.raises(FormatError, match=f"line {row + 2}: duplicate"):
+            parse_edge_list(text)
+
+
+@pytest.mark.parametrize("edges", [
+    [(3, 4), (2, 5), (1, 2)],                 # reversed
+    [(4, 5), (1, 3), (3, 4), (1, 2), (2, 5)],  # unsorted
+    [(2, 1), (3, 1), (4, 3)],                 # sorted rows of swapped pairs
+])
+def test_noncanonical_input_sorted(edges):
+    i, j = np.array(edges).T
+    lo, hi, _ = _canonicalize(5, i, j, None)
+    want = _argsorted(i, j)
+    assert lo.tolist() == want[0].tolist() and hi.tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+def test_sorted_weighted_input_checks_weights(bad):
+    i, j, w = [1, 1, 2, 3], [2, 3, 4, 5], [1.0, 2.0, bad, 0.5]
+    with pytest.raises(_EdgeError, match="finite and positive") as err:
+        _canonicalize(5, np.array(i), np.array(j), np.array(w))
+    assert err.value.row == 2
+    with pytest.raises(FormatError, match="line 4: .*finite and positive"):
+        parse_edge_list("5 4\n" + "".join(f"{a} {b} {x!r}\n" for a, b, x in zip(i, j, w)))
 
 
 @pytest.mark.parametrize("edges,err", [
