@@ -9,30 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
-import numpy as np
-
-from . import __version__
-from .euclid import (DEFAULT_MAX_ORDERINGS, GeometricGraph,
-                     count_stretch_failures, euclidean_dependable_spanner,
-                     normalize_points)
-from .experiments import (ExperimentConfig, EXPERIMENT_NAMES, check_experiment,
-                          render_csv, run_experiment)
-from .fileio import (FormatError, _edge_list_chunks, read_edge_list, read_points,
-                     write_edge_list)
-from .graphs import RankGraph, complete_graph, filter_edges
-from .lso import build_lso_family, family_size_bound, locality_witness
-from .reach import deficiency, khop_deficiency, monte_carlo_deficiency
-from .rng import derive_stream
-from .spanners1d import (DerivedParams, _assemble, dependable_interval_spanner,
-                         interval_radius)
+# each command imports the modules it runs, so --version and --help load no
+# numpy and a command loads only its own modules
+from . import EXPERIMENT_NAMES, __version__
 
 VALIDATION_ERROR = 2
 CHECK_FAILED = 3
 
 
-def _write_graph(g: RankGraph, out: str | None) -> None:
+def _write_graph(g, out: str | None) -> None:
+    from .fileio import _edge_list_chunks, write_edge_list
     if out is None:
         sys.stdout.writelines(_edge_list_chunks(g))
     else:
@@ -48,11 +35,13 @@ def _write_sidecar(out: str | None, payload: dict) -> None:
 
 
 def _cmd_gen_clique(args) -> int:
+    from .graphs import complete_graph
     _write_graph(complete_graph(args.n), args.out)
     return 0
 
 
 def _cmd_build_interval(args) -> int:
+    from .spanners1d import dependable_interval_spanner, interval_radius
     g = dependable_interval_spanner(args.n, args.psi, args.c6)
     _write_graph(g, args.out)
     _write_sidecar(args.out, {
@@ -66,6 +55,9 @@ def _cmd_build_interval(args) -> int:
 def _cmd_build_rank(args) -> int:
     """build fourhop|khop; the sidecar reports the very parameters the graph
     is built from."""
+    from dataclasses import asdict
+
+    from .spanners1d import DerivedParams, _assemble
     if args.construction == "fourhop":
         dp, extra = DerivedParams.for_four_hop(args.n, args.psi, args.c7), {}
     else:
@@ -81,9 +73,14 @@ def _cmd_build_rank(args) -> int:
 
 
 def _cmd_build_euclid(args) -> int:
+    from .euclid import (DEFAULT_MAX_ORDERINGS, euclidean_dependable_spanner,
+                         normalize_points)
+    from .fileio import read_points
     pts = normalize_points(read_points(args.points))
+    orderings = (DEFAULT_MAX_ORDERINGS if args.max_orderings is None
+                 else args.max_orderings)
     h = euclidean_dependable_spanner(pts, args.eps, args.psi, args.c7,
-                                     seed=args.seed, max_orderings=args.max_orderings)
+                                     seed=args.seed, max_orderings=orderings)
     _write_graph(h.graph, args.out)
     _write_sidecar(args.out, {
         "construction": "euclid", "n": pts.n, "d": pts.dim,
@@ -93,6 +90,9 @@ def _cmd_build_euclid(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    from .fileio import read_edge_list
+    from .graphs import filter_edges
+    from .rng import derive_stream
     g = read_edge_list(args.graph)
     h = filter_edges(g, args.psi, derive_stream(args.seed, args.stream_index))
     _write_graph(h, args.out)
@@ -106,6 +106,8 @@ def _cmd_deficiency(args) -> int:
         raise ValueError(f"need at least one trial, got {args.trials}")
     if args.psi is None and args.source_samples is not None:
         raise ValueError("--source-samples needs --psi")
+    from .fileio import read_edge_list
+    from .reach import deficiency, khop_deficiency, monte_carlo_deficiency
     g = read_edge_list(args.graph)
     if args.psi is None:
         count = (deficiency(g) if args.hops is None
@@ -121,6 +123,10 @@ def _cmd_deficiency(args) -> int:
 
 
 def _cmd_verify_stretch(args) -> int:
+    import numpy as np
+
+    from .euclid import GeometricGraph, count_stretch_failures, normalize_points
+    from .fileio import read_edge_list, read_points
     g = read_edge_list(args.graph)
     if g.weights is None:
         print("error: verify-stretch needs a weighted graph", file=sys.stderr)
@@ -149,6 +155,8 @@ def _cmd_lso_check(args) -> int:
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
+    from .lso import build_lso_family, family_size_bound, locality_witness
+    from .rng import derive_stream
     fam = build_lso_family(args.eps, args.d)
     stream = derive_stream(args.seed, 0)
     coords = stream.uniforms(args.n * args.d).reshape(args.n, args.d)
@@ -168,6 +176,8 @@ def _cmd_lso_check(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import (ExperimentConfig, check_experiment, render_csv,
+                              run_experiment)
     cfg = ExperimentConfig(
         name=args.name,
         ns=tuple(args.n), psis=tuple(args.psi), ks=tuple(args.k),
@@ -245,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--c7", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-orderings", type=int, default=DEFAULT_MAX_ORDERINGS)
+    p.add_argument("--max-orderings", type=int,
+                   default=None)  # None: euclid.DEFAULT_MAX_ORDERINGS
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build_euclid)
 
@@ -313,7 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # fileio.FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import EXPERIMENT_NAMES
 from .graphs import complete_graph, filter_edges, interval_graph
 from .reach import (DeficiencyReport, expected_two_hop_deficiency,
                     khop_deficiency_split, monte_carlo_deficiency)
@@ -232,8 +233,6 @@ _EXPERIMENTS = {
     "hop-survival": (("ns", "psis", "ks"), _HOP_COLS,
                      experiment_hop_survival, _check_hop_survival),
 }
-
-EXPERIMENT_NAMES = frozenset(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from depspan import __version__
 from depspan.cli import main
 from depspan.fileio import read_edge_list, write_edge_list, write_points
 from depspan.graphs import RankGraph, complete_graph, interval_graph
@@ -282,3 +287,36 @@ def test_experiment_check_flag(capsys):
                          "--hops", "2", "--check")
     assert code == 0, err
     assert out.startswith("schema_version,")
+
+
+def _imported(*argv):
+    # the modules a CLI child imports, from python's -X importtime report
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "depspan.cli", *argv], capture_output=True,
+                          text=True, env=env, check=True)
+    names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    return done.stdout, names
+
+
+def test_version_and_help_import_no_numpy():
+    for argv in (["--version"], ["--help"], ["experiment", "--help"],
+                 ["build", "euclid", "--help"]):
+        out, names = _imported(*argv)
+        if argv == ["--version"]:
+            assert out == f"{__version__}\n"
+        else:
+            assert out.startswith("usage: depspan"), argv
+        assert not {m for m in names if m.split(".")[0] == "numpy"}, argv
+        assert not {m for m in names if m.startswith("depspan.")}, argv
+
+
+def test_commands_import_only_their_modules(tmp_path):
+    _, names = _imported("gen-clique", "--n", "5", "--out",
+                         str(tmp_path / "k.edges"))
+    assert "numpy" in names
+    assert {m for m in names if m.startswith("depspan.")} == \
+        {"depspan.fileio", "depspan.graphs", "depspan.rng"}

@@ -9,11 +9,11 @@ from depspan.euclid import (GeometricGraph, PointSet, _arcs, _hop_rounds,
                             count_stretch_failures,
                             euclidean_dependable_spanner, extract_bounded_path,
                             normalize_points, stretch_failure_row)
-from depspan import euclid, graphs, lso
+from depspan import euclid, graphs, lso, spanners1d
 from depspan.graphs import RankGraph, filter_edges, graph_union
 from depspan.lso import Ordering, OrderingFamily, build_lso_family
 from depspan.rng import derive_seed, derive_stream
-from depspan.spanners1d import four_hop_spanner
+from depspan.spanners1d import DerivedParams, four_hop_spanner
 
 
 def _pointset(n, d, seed=0):
@@ -78,7 +78,7 @@ def test_spanner_two_points_single_edge():
 
 
 def test_spanner_contains_natural_order_construction_in_1d():
-    from depspan.spanners1d import four_hop_spanner
+    from depspan.spanners1d import DerivedParams, four_hop_spanner
     rng = np.random.default_rng(12)
     ps = PointSet(np.sort(rng.random(64))[:, None] * 0.999)
     h = euclidean_dependable_spanner(ps, 0.25, 0.5, seed=9, max_orderings=4)
@@ -479,3 +479,127 @@ def test_union_mask_refuses_more_than_physical_memory(monkeypatch):
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 64 * 64 - 1)
     with pytest.raises(ValueError, match="physical memory"):
         euclidean_dependable_spanner(pts, 0.25, 0.5, max_orderings=2)
+
+
+def _recount_mask(pts, psi, seed, max_orderings):
+    # every selected ordering's 4-hop rank build mapped to point pairs, with
+    # no stop rule: the union the build must equal
+    n = pts.n
+    fam = build_lso_family(0.25 / 8.0, pts.dim)
+    adj = np.zeros((n, n), dtype=bool)
+    for oid in _spread_ids(len(fam), max_orderings).tolist():
+        at = fam.sort_indices(fam.ordering(oid), pts.coords)
+        sub = four_hop_spanner(n, psi, seed=derive_seed(seed, oid))
+        u, v = at[sub.edge_i - 1], at[sub.edge_j - 1]
+        adj[np.minimum(u, v), np.maximum(u, v)] = True
+    return adj
+
+
+@pytest.mark.parametrize("n, psi, max_orderings, complete", [
+    (64, 0.5, 128, True),     # the interval graph alone is K_n
+    (256, 0.5, 128, True),
+    (512, 0.5, 128, True),    # complete after the second ordering
+    (1024, 0.5, 128, True),   # complete mid-loop, with connectors drawn
+    (256, 1.0, 4, False),     # never complete
+])
+def test_union_stop_rule_equals_union_of_every_ordering(n, psi, max_orderings,
+                                                        complete):
+    pts = _pointset(n, 2, seed=1)
+    h = euclidean_dependable_spanner(pts, 0.25, psi, seed=3,
+                                     max_orderings=max_orderings)
+    adj = _recount_mask(pts, psi, 3, max_orderings)
+    i, j = np.nonzero(adj)
+    assert np.array_equal(h.graph.edge_i, i + 1)
+    assert np.array_equal(h.graph.edge_j, j + 1)
+    assert h.info["orderings_used"] == max_orderings
+    assert (h.info["density"] == 1.0) == complete
+
+
+def test_union_stops_sorting_and_drawing_once_complete(monkeypatch):
+    # a K_n interval graph needs no ordering at all; otherwise orderings stop
+    # at the first that completes the union (measured: 2 at n=512, 22 at
+    # n=1024, with 3 far block pairs each at n=1024)
+    sorts, streams = [], []
+    sort, stream = euclid._sort_indices, spanners1d.derive_stream
+    monkeypatch.setattr(euclid, "_sort_indices",
+                        lambda *a: sorts.append(1) or sort(*a))
+    monkeypatch.setattr(spanners1d, "derive_stream",
+                        lambda *a: streams.append(1) or stream(*a))
+    for n, expected in ((64, (0, 0)), (256, (0, 0)), (512, (2, 0)),
+                        (1024, (22, 66))):
+        sorts.clear()
+        streams.clear()
+        h = euclidean_dependable_spanner(_pointset(n, 2, seed=1), 0.25, 0.5,
+                                         seed=3)
+        assert (len(sorts), len(streams)) == expected, n
+        assert h.info["density"] == 1.0 and h.info["orderings_used"] == 128
+
+
+def test_build_info_unchanged():
+    # recorded from the build that sorted and drew all 128 orderings
+    h = euclidean_dependable_spanner(_pointset(512, 2, seed=1), 0.25, 0.5,
+                                     seed=3)
+    assert h.info == {
+        "mode": "four-hop", "eps": 0.25, "psi": 0.5, "c7": 4.0, "seed": 3,
+        "hop_budget": 4, "family_eps": 0.03125, "family_size": 22413313,
+        "orderings_used": 128, "density": 1.0, "nu": 1.2599210498948732,
+        "block_size": 63, "radius": 378, "connector_rate": 0.6399598983593007}
+
+
+def _first_missing_reference(seen, start):
+    n = seen.shape[0]
+    for flat in range(start, n * n):
+        u, v = divmod(flat, n)
+        if u < v and not (seen[u, v] or seen[v, u]):
+            return flat
+    return n * n
+
+
+def test_first_missing_matches_scan(monkeypatch):
+    # small fold blocks, so the scan crosses several, short last one included
+    monkeypatch.setattr(euclid, "_FOLD_ROWS", 3)
+    rng = np.random.default_rng(6)
+    for n in (2, 3, 5, 37):
+        for p in (0.0, 0.3, 0.9, 0.99, 1.0):
+            seen = rng.random((n, n)) < p
+            starts = sorted({1, *rng.integers(1, n * n, 6).tolist()})
+            for start in starts:
+                u, v = divmod(start, n)
+                if u >= v:
+                    continue  # callers pass a pair u < v
+                # the pairs before start are known to be set
+                known = seen.copy()
+                known.flat[:start] = True
+                assert euclid._first_missing(known, start) == \
+                    _first_missing_reference(known, start), (n, p, start)
+    full = np.ones((6, 6), dtype=bool)
+    assert euclid._first_missing(full, 1) == 36
+
+
+class _PermutationFamily:
+    """Ordering oid sorts the points as perms[oid]."""
+
+    def __init__(self, perms):
+        self.perms = perms
+
+    def ordering(self, oid):
+        return oid
+
+
+def test_union_resumes_at_the_pair_still_missing(monkeypatch):
+    # n=4 paths under four orderings: the first two scatter C(4, 2) pairs but
+    # miss {0, 3}, the third adds nothing, the fourth adds {0, 3}; the fifth
+    # is never sorted
+    fam = _PermutationFamily([[0, 1, 2, 3], [0, 2, 1, 3], [1, 0, 2, 3],
+                              [0, 3, 1, 2], [3, 2, 1, 0]])
+    sorts = []
+    monkeypatch.setattr(euclid, "_sort_indices",
+                        lambda oid, coords: sorts.append(oid)
+                        or np.array(fam.perms[oid]))
+    dp = DerivedParams(nu=1.0, block_size=4, radius=1, connector_rate=0.0)
+    ei, ej = euclid._mapped_union(4, None, fam, np.arange(5), dp, 0)
+    assert sorts == [0, 1, 2, 3]
+    assert list(zip(ei.tolist(), ej.tolist())) == \
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    ei, ej = euclid._mapped_union(4, None, fam, np.arange(3), dp, 0)
+    assert (0, 3) not in zip(ei.tolist(), ej.tolist())

@@ -1,5 +1,6 @@
 import pytest
 
+from depspan import EXPERIMENT_NAMES, experiments
 from depspan.experiments import (ExperimentConfig, check_experiment,
                                  experiment_csv, render_csv, run_experiment)
 from depspan.reach import monte_carlo_deficiency
@@ -11,6 +12,11 @@ def _cfg(**kw):
     base = dict(name="clique-scaling", ns=(64,), psis=(0.5,), trials=20, seed=9)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def test_experiment_names_are_the_table_keys():
+    # the package lists the names so the CLI parser needs no numpy
+    assert set(experiments._EXPERIMENTS) == EXPERIMENT_NAMES
 
 
 def test_config_validation():
