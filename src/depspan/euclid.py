@@ -16,7 +16,7 @@ import numpy as np
 from .graphs import RankGraph, _check_dense, interval_graph
 from .lso import _sort_indices, build_lso_family
 from .rng import derive_seed
-from .spanners1d import DerivedParams, _far_block_pairs, _far_pairs
+from .spanners1d import DerivedParams, _connectors, _far_block_pairs
 
 __all__ = [
     "PointSet",
@@ -33,14 +33,9 @@ __all__ = [
 NORMALIZE_MARGIN = 2.0 ** -16  # keeps normalized coordinates strictly below 1
 
 # Each ordering costs an LSO sort, a connector draw and a mask scatter (about
-# 3.4 ms at n=1024 in 2-D on 2 cores), so the union is taken over a bounded,
-# evenly spread, deterministic subset. The build stops once the union is
-# complete: for uniform 2-D points after none at n=256, 2 at n=512 and 22-29
-# at n=1024.
+# 3-4 ms at n=1024 in 2-D on 2 cores), so the union is taken over a bounded,
+# evenly spread, deterministic subset.
 DEFAULT_MAX_ORDERINGS = 128
-
-# Rows of the union mask folded onto its upper triangle at a time.
-_FOLD_ROWS = 256
 
 
 class PointSet:
@@ -153,12 +148,10 @@ def _mapped_union(n: int, coords: np.ndarray, fam, ids: np.ndarray,
     seed-free interval graph plus per-ordering connectors) mapped through
     orderings ids; the n^2-byte mask is freed before the caller's weights.
 
-    Orderings are taken in turn until the union holds every pair u < v; the
-    rest could add nothing, so they are neither sorted nor drawn (each draws
-    from its own seed, so skipping one changes no other). An interval graph
-    of radius n - 1 is K_n under any ordering, so then none is taken. Else
-    the union is tested only once the pairs scattered reach C(n, 2), and
-    each test resumes at the first pair the last one found missing."""
+    An interval graph of radius n - 1 is K_n, so its union under any
+    orderings is K_n too: then no ordering is sorted and no connector drawn
+    (each ordering draws from its own seed, so skipping one changes no
+    other)."""
     _check_dense(n * n, f"the Euclidean union mask at n={n}")
     base = interval_graph(n, dp.radius)
     if dp.radius >= n - 1:
@@ -168,53 +161,25 @@ def _mapped_union(n: int, coords: np.ndarray, fam, ids: np.ndarray,
     base_i, base_j = base.edge_i.astype(np.intp), base.edge_j.astype(np.intp)
     seen = np.zeros(n * n, dtype=bool)
     point_at = np.empty(n + 1, dtype=np.int64)  # 0-based point by 1-based rank
-    scattered, missing = 0, 1  # missing: u * n + v of the first pair not seen
     for oid in ids.tolist():
-        if scattered >= math.comb(n, 2):
-            missing = _first_missing(seen.reshape(n, n), missing)
-            if missing == n * n:
-                break
         point_at[1:] = _sort_indices(fam.ordering(oid), coords)
         row_at = point_at * n
-        far_i, far_j = _far_pairs(block_pairs, dp, derive_seed(seed, oid))
-        for ri, rj in ((base_i, base_j), (far_i, far_j)):
+        pairs = _connectors(block_pairs, dp, derive_seed(seed, oid))
+        for ri, rj in ((base_i, base_j), (pairs[:, 0], pairs[:, 1])):
             flat = row_at[ri]
             flat += point_at[rj]
             seen[flat] = True  # either orientation; folded below
-        scattered += base_i.size + far_i.size
     return _upper_pairs(seen.reshape(n, n))
-
-
-def _first_missing(seen: np.ndarray, start: int) -> int:
-    """u * n + v of the first pair u < v, row-major from start on, that a
-    square mask sets at neither (u, v) nor (v, u); n * n if there is none.
-    Masks only gain pairs, so a caller may resume from the last answer."""
-    n = seen.shape[0]
-    u, v = divmod(start, n)
-    if not (seen[u, v] or seen[v, u]):
-        return start
-    for a in range(u, n, _FOLD_ROWS):
-        b = min(a + _FOLD_ROWS, n)
-        lacking = seen[a:b, a:] | seen[a:, a:b].T
-        lacking[:, :b - a] |= np.tri(b - a, dtype=bool)  # skip v <= u
-        if a == u:
-            lacking[0, :v - u] = True  # known to be set
-        np.logical_not(lacking, out=lacking)
-        first = int(np.argmax(lacking))
-        if lacking.flat[first]:
-            r, c = divmod(first, n - a)
-            return (a + r) * n + a + c
-    return n * n
 
 
 def _upper_pairs(seen: np.ndarray):
     """Canonical int32 pairs u < v of a square mask set at (u, v) or (v, u):
-    each block of _FOLD_ROWS rows is folded with its transpose block on its
-    own, so no second n^2 array is made."""
+    each block of 256 rows is folded with its transpose block on its own, so
+    no second n^2 array is made."""
     n = seen.shape[0]
     parts_i, parts_j = [], []
-    for a in range(0, n, _FOLD_ROWS):
-        b = min(a + _FOLD_ROWS, n)
+    for a in range(0, n, 256):
+        b = min(a + 256, n)
         upper = seen[a:b, a:] | seen[a:, a:b].T
         upper[:, :b - a] &= ~np.tri(b - a, dtype=bool)  # keep v > u
         r, c = np.nonzero(upper)
@@ -237,8 +202,8 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
     ValueError. max_orderings bounds how many family members the union is
     taken over (evenly spread, always including the identity ordering); None
     means the whole family. info["orderings_used"] counts those members: the
-    output is exactly their union, though the build stops sorting and
-    drawing them once the union holds every pair (see _mapped_union).
+    output is exactly their union, though an interval radius of n - 1 makes
+    it K_n with none of them sorted or drawn (see _mapped_union).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")

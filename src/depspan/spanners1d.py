@@ -184,38 +184,18 @@ def _far_block_pairs(n: int, dp: DerivedParams) -> list:
             if blocks[bj - 1][1] - blocks[bi - 1][0] > dp.radius]
 
 
-def _far_pairs(block_pairs: list, dp: DerivedParams, seed: int):
-    """(i, j), i < j, of the connector edges that block_pairs (from
-    _far_block_pairs) draw beyond the interval radius (the rest are interval
-    edges), in draw order: block pair by block pair, each one's cross pairs
-    row-major from its own stream, as bipartite_connector samples them. A
-    hierarchy's x block precedes its y block, so the blocks need no check
-    and the pairs no min/max; a caller that only scatters them can skip the
-    sort _connectors does."""
-    if not block_pairs:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    index, xs, xe, ys, ye = np.array([(k, x[0], x[1], y[0], y[1])
-                                      for k, x, y in block_pairs]).T
-    ny = ye - ys + 1
-    sizes = (xe - xs + 1) * ny
-    draws = np.concatenate([derive_stream(seed, k).uniforms(size)
-                            for k, size in zip(index.tolist(), sizes.tolist())])
-    keep = np.flatnonzero(draws < dp.connector_rate)
-    starts = np.cumsum(sizes) - sizes
-    block = np.searchsorted(starts, keep, side="right") - 1
-    keep -= starts[block]
-    i = xs[block] + keep // ny[block]
-    j = ys[block] + keep % ny[block]
-    far = j - i > dp.radius
-    return i[far], j[far]
-
-
 def _connectors(block_pairs: list, dp: DerivedParams, seed: int) -> np.ndarray:
-    """_far_pairs as an (m, 2) array in canonical order. No pair repeats: the
-    hierarchy's block pairs are distinct and disjoint."""
-    i, j = _far_pairs(block_pairs, dp, seed)
-    order = np.lexsort((j, i))
-    return np.stack([i[order], j[order]], axis=1)
+    """The connector edges drawn by block_pairs (from _far_block_pairs) that
+    are longer than the interval radius (the rest are interval edges), an
+    (m, 2) array in canonical order. No pair repeats: the hierarchy's block
+    pairs are distinct and disjoint."""
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for index, x_block, y_block in block_pairs:
+        pairs = bipartite_connector(x_block, y_block, dp.connector_rate,
+                                    derive_stream(seed, index))
+        parts.append(pairs[pairs[:, 1] - pairs[:, 0] > dp.radius])
+    far = np.concatenate(parts, axis=0)
+    return far[np.lexsort((far[:, 1], far[:, 0]))]
 
 
 def _assemble(n: int, dp: DerivedParams, seed: int) -> RankGraph:

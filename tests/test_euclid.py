@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_spanner_two_points_single_edge():
 
 
 def test_spanner_contains_natural_order_construction_in_1d():
-    from depspan.spanners1d import DerivedParams, four_hop_spanner
+    from depspan.spanners1d import four_hop_spanner
     rng = np.random.default_rng(12)
     ps = PointSet(np.sort(rng.random(64))[:, None] * 0.999)
     h = euclidean_dependable_spanner(ps, 0.25, 0.5, seed=9, max_orderings=4)
@@ -374,22 +375,38 @@ def test_stretch_failures_monotone_under_edge_removal():
     assert (f_full <= f_sparse).all()
 
 
-def test_spanner_union_recount():
+def _union_recount(pts, eps, psi, seed, max_orderings):
     # independent recount: each ordering's rank edges mapped to point pairs,
     # unioned with a plain python set
+    fam = build_lso_family(eps / 8.0, pts.dim)
+    edges = set()
+    for oid in _spread_ids(len(fam), max_orderings).tolist():
+        order = fam.sort_indices(fam.ordering(oid), pts.coords) + 1
+        sub = four_hop_spanner(pts.n, psi, seed=derive_seed(seed, oid))
+        u, v = order[sub.edge_i - 1], order[sub.edge_j - 1]
+        edges.update(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    return edges
+
+
+def test_spanner_union_recount():
     n, eps, psi, seed = 256, 0.25, 1.0, 5
     pts = _pointset(n, 2, seed=5)
     h = euclidean_dependable_spanner(pts, eps, psi, seed=seed, max_orderings=4)
-    fam = build_lso_family(eps / 8.0, 2)
-    edges = set()
-    for oid in _spread_ids(len(fam), 4).tolist():
-        order = fam.sort_indices(fam.ordering(oid), pts.coords).tolist()
-        sub = four_hop_spanner(n, psi, seed=derive_seed(seed, oid))
-        for i, j in sub.edge_set():
-            u, v = order[i - 1] + 1, order[j - 1] + 1
-            edges.add((min(u, v), max(u, v)))
+    edges = _union_recount(pts, eps, psi, seed, 4)
     assert h.graph.edge_set() == edges
     assert h.info["density"] == len(edges) / math.comb(n, 2) < 1.0
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_spanner_union_recount_complete_interval_graph(n):
+    # at the defaults the interval radius reaches n - 1, so the build takes
+    # no ordering; its output is still the union over all 128
+    pts = _pointset(n, 2, seed=5)
+    h = euclidean_dependable_spanner(pts, 0.25, 0.5, seed=5)
+    edges = _union_recount(pts, 0.25, 0.5, 5, 128)
+    assert h.graph.edge_set() == edges
+    assert h.info["density"] == len(edges) / math.comb(n, 2) == 1.0
+    assert h.info["orderings_used"] == 128
 
 
 class _ShiftFamily(OrderingFamily):
@@ -481,52 +498,18 @@ def test_union_mask_refuses_more_than_physical_memory(monkeypatch):
         euclidean_dependable_spanner(pts, 0.25, 0.5, max_orderings=2)
 
 
-def _recount_mask(pts, psi, seed, max_orderings):
-    # every selected ordering's 4-hop rank build mapped to point pairs, with
-    # no stop rule: the union the build must equal
-    n = pts.n
-    fam = build_lso_family(0.25 / 8.0, pts.dim)
-    adj = np.zeros((n, n), dtype=bool)
-    for oid in _spread_ids(len(fam), max_orderings).tolist():
-        at = fam.sort_indices(fam.ordering(oid), pts.coords)
-        sub = four_hop_spanner(n, psi, seed=derive_seed(seed, oid))
-        u, v = at[sub.edge_i - 1], at[sub.edge_j - 1]
-        adj[np.minimum(u, v), np.maximum(u, v)] = True
-    return adj
-
-
-@pytest.mark.parametrize("n, psi, max_orderings, complete", [
-    (64, 0.5, 128, True),     # the interval graph alone is K_n
-    (256, 0.5, 128, True),
-    (512, 0.5, 128, True),    # complete after the second ordering
-    (1024, 0.5, 128, True),   # complete mid-loop, with connectors drawn
-    (256, 1.0, 4, False),     # never complete
-])
-def test_union_stop_rule_equals_union_of_every_ordering(n, psi, max_orderings,
-                                                        complete):
-    pts = _pointset(n, 2, seed=1)
-    h = euclidean_dependable_spanner(pts, 0.25, psi, seed=3,
-                                     max_orderings=max_orderings)
-    adj = _recount_mask(pts, psi, 3, max_orderings)
-    i, j = np.nonzero(adj)
-    assert np.array_equal(h.graph.edge_i, i + 1)
-    assert np.array_equal(h.graph.edge_j, j + 1)
-    assert h.info["orderings_used"] == max_orderings
-    assert (h.info["density"] == 1.0) == complete
-
-
-def test_union_stops_sorting_and_drawing_once_complete(monkeypatch):
-    # a K_n interval graph needs no ordering at all; otherwise orderings stop
-    # at the first that completes the union (measured: 2 at n=512, 22 at
-    # n=1024, with 3 far block pairs each at n=1024)
+def test_union_of_a_complete_interval_graph_sorts_and_draws_nothing(
+        monkeypatch):
+    # radius >= n - 1 makes the interval graph K_n, so no ordering is sorted
+    # and no connector drawn; at n=512 (radius 378) all 128 are sorted, and
+    # that build has no far block pairs
     sorts, streams = [], []
     sort, stream = euclid._sort_indices, spanners1d.derive_stream
     monkeypatch.setattr(euclid, "_sort_indices",
                         lambda *a: sorts.append(1) or sort(*a))
     monkeypatch.setattr(spanners1d, "derive_stream",
                         lambda *a: streams.append(1) or stream(*a))
-    for n, expected in ((64, (0, 0)), (256, (0, 0)), (512, (2, 0)),
-                        (1024, (22, 66))):
+    for n, expected in ((64, (0, 0)), (256, (0, 0)), (512, (128, 0))):
         sorts.clear()
         streams.clear()
         h = euclidean_dependable_spanner(_pointset(n, 2, seed=1), 0.25, 0.5,
@@ -535,71 +518,26 @@ def test_union_stops_sorting_and_drawing_once_complete(monkeypatch):
         assert h.info["density"] == 1.0 and h.info["orderings_used"] == 128
 
 
-def test_build_info_unchanged():
+def test_union_of_an_interval_graph_short_of_k_n_maps_its_orderings():
+    # radius n - 2 leaves out the rank pair (1, n), so the union is K_n less
+    # the pair of points the one ordering puts first and last
+    n = 64
+    pts = _pointset(n, 2, seed=1)
+    fam = build_lso_family(0.25 / 8.0, 2)
+    dp = DerivedParams(nu=1.0, block_size=8, radius=n - 2, connector_rate=0.0)
+    ei, ej = euclid._mapped_union(n, pts.coords, fam, np.arange(1), dp, 0)
+    at = fam.sort_indices(fam.ordering(0), pts.coords)
+    expected = set(itertools.combinations(range(n), 2))
+    expected.discard((min(at[0], at[-1]), max(at[0], at[-1])))
+    assert set(zip(ei.tolist(), ej.tolist())) == expected
+
+
+def test_complete_interval_graph_build_info_unchanged():
     # recorded from the build that sorted and drew all 128 orderings
-    h = euclidean_dependable_spanner(_pointset(512, 2, seed=1), 0.25, 0.5,
+    h = euclidean_dependable_spanner(_pointset(256, 2, seed=1), 0.25, 0.5,
                                      seed=3)
     assert h.info == {
         "mode": "four-hop", "eps": 0.25, "psi": 0.5, "c7": 4.0, "seed": 3,
         "hop_budget": 4, "family_eps": 0.03125, "family_size": 22413313,
         "orderings_used": 128, "density": 1.0, "nu": 1.2599210498948732,
-        "block_size": 63, "radius": 378, "connector_rate": 0.6399598983593007}
-
-
-def _first_missing_reference(seen, start):
-    n = seen.shape[0]
-    for flat in range(start, n * n):
-        u, v = divmod(flat, n)
-        if u < v and not (seen[u, v] or seen[v, u]):
-            return flat
-    return n * n
-
-
-def test_first_missing_matches_scan(monkeypatch):
-    # small fold blocks, so the scan crosses several, short last one included
-    monkeypatch.setattr(euclid, "_FOLD_ROWS", 3)
-    rng = np.random.default_rng(6)
-    for n in (2, 3, 5, 37):
-        for p in (0.0, 0.3, 0.9, 0.99, 1.0):
-            seen = rng.random((n, n)) < p
-            starts = sorted({1, *rng.integers(1, n * n, 6).tolist()})
-            for start in starts:
-                u, v = divmod(start, n)
-                if u >= v:
-                    continue  # callers pass a pair u < v
-                # the pairs before start are known to be set
-                known = seen.copy()
-                known.flat[:start] = True
-                assert euclid._first_missing(known, start) == \
-                    _first_missing_reference(known, start), (n, p, start)
-    full = np.ones((6, 6), dtype=bool)
-    assert euclid._first_missing(full, 1) == 36
-
-
-class _PermutationFamily:
-    """Ordering oid sorts the points as perms[oid]."""
-
-    def __init__(self, perms):
-        self.perms = perms
-
-    def ordering(self, oid):
-        return oid
-
-
-def test_union_resumes_at_the_pair_still_missing(monkeypatch):
-    # n=4 paths under four orderings: the first two scatter C(4, 2) pairs but
-    # miss {0, 3}, the third adds nothing, the fourth adds {0, 3}; the fifth
-    # is never sorted
-    fam = _PermutationFamily([[0, 1, 2, 3], [0, 2, 1, 3], [1, 0, 2, 3],
-                              [0, 3, 1, 2], [3, 2, 1, 0]])
-    sorts = []
-    monkeypatch.setattr(euclid, "_sort_indices",
-                        lambda oid, coords: sorts.append(oid)
-                        or np.array(fam.perms[oid]))
-    dp = DerivedParams(nu=1.0, block_size=4, radius=1, connector_rate=0.0)
-    ei, ej = euclid._mapped_union(4, None, fam, np.arange(5), dp, 0)
-    assert sorts == [0, 1, 2, 3]
-    assert list(zip(ei.tolist(), ej.tolist())) == \
-        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    ei, ej = euclid._mapped_union(4, None, fam, np.arange(3), dp, 0)
-    assert (0, 3) not in zip(ei.tolist(), ej.tolist())
+        "block_size": 56, "radius": 255, "connector_rate": 0.7199548856542133}

@@ -164,27 +164,6 @@ def test_connector_extremes():
         bipartite_connector((1, 5), (5, 9), 0.5, derive_stream(0, 0))
 
 
-def test_far_pairs_are_bipartite_connector_draws_in_order():
-    # the unchecked union path draws what bipartite_connector draws, block
-    # pair by block pair, keeping the pairs beyond the radius
-    for n, psi, c7 in ((2048, 0.5, 1.0), (1300, 0.5, 4.0), (700, 0.9, 0.5)):
-        four = DerivedParams.for_four_hop(n, psi, c7)
-        for dp in (four, replace(four, connector_rate=1.0),
-                   replace(four, connector_rate=0.0)):
-            block_pairs = spanners1d._far_block_pairs(n, dp)
-            assert block_pairs, (n, psi, c7)
-            expected = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
-                bipartite_connector(x, y, dp.connector_rate,
-                                    derive_stream(11, index))
-                for index, x, y in block_pairs])
-            expected = expected[expected[:, 1] - expected[:, 0] > dp.radius]
-            i, j = spanners1d._far_pairs(block_pairs, dp, 11)
-            assert np.array_equal(np.stack([i, j], axis=1), expected)
-    dp = DerivedParams.for_four_hop(256, 0.5, 4.0)
-    i, j = spanners1d._far_pairs(spanners1d._far_block_pairs(256, dp), dp, 11)
-    assert i.size == j.size == 0
-
-
 def test_connector_binomial_mean():
     rates = [bipartite_connector((1, 50), (51, 100), 0.2,
                                  derive_stream(31, t)).shape[0]
