@@ -17,6 +17,13 @@ __version__ = "0.1.0"
 EXPERIMENT_NAMES = frozenset({"clique-scaling", "spanner-vs-clique",
                               "sparse-failure", "hop-survival"})
 
+# Build defaults, read by every builder, ExperimentConfig and the CLI parser:
+# c6 scales the interval radius, c7 the 4-hop block size and connector rate,
+# and a Euclidean build unions at most DEFAULT_MAX_ORDERINGS orderings.
+DEFAULT_C6 = 4.0
+DEFAULT_C7 = 4.0
+DEFAULT_MAX_ORDERINGS = 128
+
 _EXPORTS = {
     "graphs": ("RankGraph", "complete_graph", "interval_graph", "filter_edges",
                "graph_union"),
@@ -42,7 +49,8 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
 
-__all__ = ["__version__", "EXPERIMENT_NAMES", *_MODULE_OF]
+__all__ = ["__version__", "EXPERIMENT_NAMES", "DEFAULT_C6", "DEFAULT_C7",
+           "DEFAULT_MAX_ORDERINGS", *_MODULE_OF]
 
 
 def __getattr__(name):

@@ -12,7 +12,8 @@ import sys
 
 # each command imports the modules it runs, so --version and --help load no
 # numpy and a command loads only its own modules
-from . import EXPERIMENT_NAMES, __version__
+from . import (DEFAULT_C6, DEFAULT_C7, DEFAULT_MAX_ORDERINGS,
+               EXPERIMENT_NAMES, __version__)
 
 VALIDATION_ERROR = 2
 CHECK_FAILED = 3
@@ -73,14 +74,12 @@ def _cmd_build_rank(args) -> int:
 
 
 def _cmd_build_euclid(args) -> int:
-    from .euclid import (DEFAULT_MAX_ORDERINGS, euclidean_dependable_spanner,
-                         normalize_points)
+    from .euclid import euclidean_dependable_spanner, normalize_points
     from .fileio import read_points
     pts = normalize_points(read_points(args.points))
-    orderings = (DEFAULT_MAX_ORDERINGS if args.max_orderings is None
-                 else args.max_orderings)
     h = euclidean_dependable_spanner(pts, args.eps, args.psi, args.c7,
-                                     seed=args.seed, max_orderings=orderings)
+                                     seed=args.seed,
+                                     max_orderings=args.max_orderings)
     _write_graph(h.graph, args.out)
     _write_sidecar(args.out, {
         "construction": "euclid", "n": pts.n, "d": pts.dim,
@@ -228,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = build.add_parser("interval", help="interval dependable exact spanner")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--c6", type=float, default=4.0)
+    p.add_argument("--c6", type=float, default=DEFAULT_C6)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build_interval)
 
     p = build.add_parser("fourhop", help="4-hop dependable exact spanner")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--c7", type=float, default=4.0)
+    p.add_argument("--c7", type=float, default=DEFAULT_C7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build_rank)
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--psi", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c7", type=float, default=4.0)
+    p.add_argument("--c7", type=float, default=DEFAULT_C7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build_rank)
@@ -253,10 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--c7", type=float, default=4.0)
+    p.add_argument("--c7", type=float, default=DEFAULT_C7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-orderings", type=int,
-                   default=None)  # None: euclid.DEFAULT_MAX_ORDERINGS
+    p.add_argument("--max-orderings", type=int, default=DEFAULT_MAX_ORDERINGS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build_euclid)
 
@@ -310,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hops", type=int, default=None)
-    p.add_argument("--c6", type=float, default=4.0)
-    p.add_argument("--c7", type=float, default=4.0)
+    p.add_argument("--c6", type=float, default=DEFAULT_C6)
+    p.add_argument("--c7", type=float, default=DEFAULT_C7)
     p.add_argument("--source-samples", type=int, default=None)
     p.add_argument("--out")
     p.add_argument("--check", action="store_true")

@@ -13,6 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import DEFAULT_C7, DEFAULT_MAX_ORDERINGS
 from .graphs import RankGraph, _check_dense, interval_graph
 from .lso import _sort_indices, build_lso_family
 from .rng import derive_seed
@@ -31,11 +32,6 @@ __all__ = [
 ]
 
 NORMALIZE_MARGIN = 2.0 ** -16  # keeps normalized coordinates strictly below 1
-
-# Each ordering costs an LSO sort, a connector draw and a mask scatter (about
-# 3-4 ms at n=1024 in 2-D on 2 cores), so the union is taken over a bounded,
-# evenly spread, deterministic subset.
-DEFAULT_MAX_ORDERINGS = 128
 
 
 class PointSet:
@@ -135,8 +131,8 @@ class GeometricGraph:
         return f"GeometricGraph(n={self.n}, m={self.graph.m})"
 
 
-def _spread_ids(total: int, cap: int | None) -> np.ndarray:
-    if cap is None or total <= cap:
+def _spread_ids(total: int, cap: int) -> np.ndarray:
+    if total <= cap:
         return np.arange(total, dtype=np.int64)
     # the linspace step exceeds 1, so the rounded ids are distinct and sorted
     return np.round(np.linspace(0, total - 1, cap)).astype(np.int64)
@@ -189,9 +185,9 @@ def _upper_pairs(seen: np.ndarray):
 
 
 def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
-                                 c7: float = 4.0, mode: str = "four-hop",
+                                 c7: float = DEFAULT_C7, mode: str = "four-hop",
                                  seed: int = 0,
-                                 max_orderings: int | None = DEFAULT_MAX_ORDERINGS,
+                                 max_orderings: int = DEFAULT_MAX_ORDERINGS,
                                  ) -> GeometricGraph:
     """Union of 1-D dependable spanners over a locality-sensitive ordering
     family; the surviving graph keeps (1+eps)-stretch paths of at most 4 hops
@@ -200,18 +196,17 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
     The build pairs an eps/8 family with the 4-hop rank construction. `mode`
     exists only for callers that pass "four-hop"; any other value raises
     ValueError. max_orderings bounds how many family members the union is
-    taken over (evenly spread, always including the identity ordering); None
-    means the whole family. info["orderings_used"] counts those members: the
-    output is exactly their union, though an interval radius of n - 1 makes
-    it K_n with none of them sorted or drawn (see _mapped_union).
+    taken over (an int >= 1, evenly spread, always including the identity
+    ordering; len(family) is the whole family). info["orderings_used"] counts
+    those members: the output is exactly their union, though an interval
+    radius of n - 1 makes it K_n with none of them sorted or drawn.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if mode != "four-hop":
         raise ValueError(f"unknown mode {mode!r}; expected 'four-hop'")
-    if max_orderings is not None and max_orderings < 1:
-        raise ValueError("max_orderings must be >= 1 (or None for the whole "
-                         f"family), got {max_orderings}")
+    if not (isinstance(max_orderings, (int, np.integer)) and max_orderings >= 1):
+        raise ValueError(f"max_orderings must be >= 1, got {max_orderings!r}")
     n, d = points.n, points.dim
     dp = DerivedParams.for_four_hop(n, psi, c7)
     fam = build_lso_family(eps / 8.0, d)

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import EXPERIMENT_NAMES
+from . import DEFAULT_C6, DEFAULT_C7, EXPERIMENT_NAMES
 from .graphs import complete_graph, filter_edges, interval_graph
 from .reach import (DeficiencyReport, expected_two_hop_deficiency,
                     khop_deficiency_split, monte_carlo_deficiency)
@@ -45,8 +45,8 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     hops: int | None = None
-    c6: float = 4.0
-    c7: float = 4.0
+    c6: float = DEFAULT_C6
+    c7: float = DEFAULT_C7
     source_samples: int | None = None
 
     def __post_init__(self):

@@ -7,7 +7,8 @@ single forward sweep. Two exact engines back the pair counts:
 * unbounded reachability: a bitset closure over a set of sources (all n, or a
   sample), one row of source bits per target vertex, filled in one ascending
   pass (row i is ORed into the rows of its out-neighbors, which are one run
-  of the canonical edge order, so no engine re-sorts edges);
+  of the canonical edge order, so no engine re-sorts edges) in
+  (n + 1) * ceil(s / 64) words, checked against physical memory first;
 * hop-bounded reachability: boolean powers of I + A by square-and-multiply,
   stored as float32 row panels that each hold their rows from the diagonal
   rightwards, and multiplied in place, panel by panel, with BLAS, for every
@@ -112,7 +113,9 @@ def _closure_reachable_pairs(g: RankGraph, sources: np.ndarray) -> int:
     is final when reached because all its in-neighbors are smaller.
     """
     s = sources.size
-    rows = np.zeros((g.n + 1, (s + 63) >> 6), dtype=np.uint64)
+    words = (s + 63) >> 6
+    _check_dense((g.n + 1) * words * 8, f"the closure at n={g.n}, s={s}")
+    rows = np.zeros((g.n + 1, words), dtype=np.uint64)
     bit = np.arange(s)
     rows[sources, bit >> 6] = _ONE << (bit & 63).astype(np.uint64)
     runs, heads = _out_runs(g), g.edge_j.astype(np.intp)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import DEFAULT_C6, DEFAULT_C7
 from .graphs import RankGraph, _with_far_edges, interval_graph
 from .rng import RandomStream, derive_stream
 
@@ -94,7 +95,7 @@ def block_partition(n: int, size: int) -> tuple:
                  for b in range(nb))
 
 
-def interval_radius(n: int, psi: float, c6: float = 4.0) -> int:
+def interval_radius(n: int, psi: float, c6: float = DEFAULT_C6) -> int:
     """Connection radius of the plain interval spanner: ceil((c6/psi) ln n),
     clamped to n-1."""
     if n < 1:
@@ -102,10 +103,10 @@ def interval_radius(n: int, psi: float, c6: float = 4.0) -> int:
     if not (0.0 < psi <= 1.0):
         raise ValueError(f"survival probability must be in (0, 1], got {psi}")
     _check_constant("c6", c6)
-    return min(n - 1, math.ceil((c6 / psi) * math.log(n))) if n > 1 else 0
+    return min(n - 1, math.ceil((c6 / psi) * math.log(n)))
 
 
-def dependable_interval_spanner(n: int, psi: float, c6: float = 4.0) -> RankGraph:
+def dependable_interval_spanner(n: int, psi: float, c6: float = DEFAULT_C6) -> RankGraph:
     """Connect every pair within rank distance ceil((c6/psi) ln n).
 
     Within any window of that width this graph is indistinguishable from the
@@ -147,8 +148,8 @@ def two_hop_hierarchy(a: int, b: int) -> np.ndarray:
 
 def bipartite_connector(x_block: tuple[int, int], y_block: tuple[int, int],
                         rate: float, rng: RandomStream) -> np.ndarray:
-    """Sample each cross pair of two disjoint rank intervals independently
-    with probability `rate`; returns an (m, 2) array with i < j.
+    """Sample each cross pair (x, y), x in x_block and y in the later y_block,
+    independently with probability `rate`; returns an (m, 2) array, x < y.
 
     Pairs are enumerated row-major over (x ascending, y ascending), so the
     sample is a pure function of (blocks, rate, stream state).
@@ -159,16 +160,11 @@ def bipartite_connector(x_block: tuple[int, int], y_block: tuple[int, int],
     ys, ye = y_block
     if xs > xe or ys > ye:
         raise ValueError("empty block")
-    if not (xe < ys or ye < xs):
-        raise ValueError(f"blocks overlap: {x_block} vs {y_block}")
-    nx, ny = xe - xs + 1, ye - ys + 1
-    keep = np.flatnonzero(rng.uniforms(nx * ny) < rate)
-    x = xs + keep // ny
-    y = ys + keep % ny
-    out = np.empty((keep.size, 2), dtype=np.int64)
-    out[:, 0] = np.minimum(x, y)
-    out[:, 1] = np.maximum(x, y)
-    return out
+    if ys <= xe:
+        raise ValueError(f"blocks overlap or are reversed: {x_block} vs {y_block}")
+    ny = ye - ys + 1
+    keep = np.flatnonzero(rng.uniforms((xe - xs + 1) * ny) < rate)
+    return np.stack([xs + keep // ny, ys + keep % ny], axis=1)
 
 
 def _far_block_pairs(n: int, dp: DerivedParams) -> list:
@@ -205,7 +201,7 @@ def _assemble(n: int, dp: DerivedParams, seed: int) -> RankGraph:
                            _connectors(_far_block_pairs(n, dp), dp, seed))
 
 
-def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:
+def biclique_block_spanner(n: int, psi: float, c7: float = DEFAULT_C7) -> RankGraph:
     """Baseline few-hop spanner: block hierarchy with full bicliques.
 
     Denser than the connector version by roughly a block-size factor; kept as
@@ -216,7 +212,7 @@ def biclique_block_spanner(n: int, psi: float, c7: float = 4.0) -> RankGraph:
                                 connector_rate=1.0), 0)
 
 
-def four_hop_spanner(n: int, psi: float, c7: float = 4.0, seed: int = 0) -> RankGraph:
+def four_hop_spanner(n: int, psi: float, c7: float = DEFAULT_C7, seed: int = 0) -> RankGraph:
     """Sparse dependable spanner giving (with high probability) straight paths
     of at most 4 hops to every surviving long pair.
 
@@ -227,7 +223,7 @@ def four_hop_spanner(n: int, psi: float, c7: float = 4.0, seed: int = 0) -> Rank
     return _assemble(n, DerivedParams.for_four_hop(n, psi, c7), seed)
 
 
-def khop_spanner(n: int, psi: float, k: int, c7: float = 4.0, seed: int = 0) -> RankGraph:
+def khop_spanner(n: int, psi: float, k: int, c7: float = DEFAULT_C7, seed: int = 0) -> RankGraph:
     """Generalization of the 4-hop construction to a hop budget k >= 3.
 
     Larger budgets shrink the expansion base nu = psi^(-1/(k-1)) and with it

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depspan import __version__
-from depspan.cli import main
+import depspan
+import depspan.graphs as graphs
+from depspan import __version__, euclid, experiments, spanners1d
+from depspan.cli import build_parser, main
 from depspan.fileio import read_edge_list, write_edge_list, write_points
 from depspan.graphs import RankGraph, complete_graph, interval_graph
 from depspan.reach import monte_carlo_deficiency
@@ -113,6 +116,49 @@ def test_filter_then_deficiency_pipeline(tmp_path, capsys):
         assert code == 0 and int(out) == unbounded[t], t
         code, out, _ = run(capsys, "deficiency", "--graph", str(h), "--hops", "4")
         assert code == 0 and int(out) == bounded[t], t
+
+
+def test_build_defaults_read_the_package_constants():
+    # c6, c7 and the ordering cap have one home, depspan/__init__.py; `is`
+    # tells the constant from an equal literal written elsewhere
+    c6, c7 = depspan.DEFAULT_C6, depspan.DEFAULT_C7
+    cap = depspan.DEFAULT_MAX_ORDERINGS
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+    for fn in (spanners1d.interval_radius,
+               spanners1d.dependable_interval_spanner):
+        assert default(fn, "c6") is c6, fn
+    for fn in (spanners1d.biclique_block_spanner, spanners1d.four_hop_spanner,
+               spanners1d.khop_spanner, euclid.euclidean_dependable_spanner):
+        assert default(fn, "c7") is c7, fn
+    assert default(euclid.euclidean_dependable_spanner, "max_orderings") is cap
+    assert euclid.DEFAULT_MAX_ORDERINGS is cap
+    cfg = experiments.ExperimentConfig("clique-scaling", ns=(8,), psis=(0.5,))
+    assert cfg.c6 is c6 and cfg.c7 is c7
+    parse = build_parser().parse_args
+    args = parse(["build", "interval", "--n", "8", "--psi", "0.5"])
+    assert args.c6 is c6
+    for construction, extra in (("fourhop", []), ("khop", ["--k", "5"])):
+        args = parse(["build", construction, "--n", "8", "--psi", "0.5", *extra])
+        assert args.c7 is c7, construction
+    args = parse(["build", "euclid", "--points", "p", "--eps", "0.25",
+                  "--psi", "0.5"])
+    assert args.c7 is c7 and args.max_orderings is cap
+    args = parse(["experiment", "clique-scaling", "--n", "8", "--psi", "0.5"])
+    assert args.c6 is c6 and args.c7 is c7
+
+
+def test_deficiency_refuses_more_than_physical_memory(tmp_path, capsys,
+                                                      monkeypatch):
+    # the closure over all 64 sources is 65 rows of one 8-byte word
+    g = tmp_path / "k.edges"
+    write_edge_list(interval_graph(64, 3), g)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 65 * 8)
+    assert run(capsys, "deficiency", "--graph", str(g)) == (0, "0\n", "")
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 65 * 8 - 1)
+    code, out, err = run(capsys, "deficiency", "--graph", str(g))
+    assert code == 2 and "physical memory" in err and not out
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

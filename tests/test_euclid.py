@@ -111,6 +111,10 @@ def test_spanner_mode_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_orderings must be >= 1"):
             euclidean_dependable_spanner(ps, 0.25, 0.5, max_orderings=bad)
+    # an int only: len(family) takes the whole family, None is no shorthand
+    for bad in (None, 2.0):
+        with pytest.raises(ValueError, match="max_orderings must be >= 1"):
+            euclidean_dependable_spanner(ps, 0.25, 0.5, max_orderings=bad)
 
 
 def test_geometric_weights_satisfy_triangle_inequality():
@@ -423,7 +427,7 @@ class _ShiftFamily(OrderingFamily):
 
 
 def test_spanner_whole_family_equals_graph_union(monkeypatch):
-    # max_orderings=None unions every member. Real d=1 families have
+    # max_orderings=len(fam) unions every member. Real d=1 families have
     # thousands, whose union is K_n at any size a unit test can afford, so
     # the build runs on a 4-member sub-family and stays sparse. n = 300
     # leaves a short last block of rows in the mask's fold
@@ -433,7 +437,7 @@ def test_spanner_whole_family_equals_graph_union(monkeypatch):
     for n in (300, 512):
         pts = _pointset(n, 1, seed=8)
         h = euclidean_dependable_spanner(pts, 0.25, psi, c7, seed=seed,
-                                         max_orderings=None)
+                                         max_orderings=len(fam))
         assert h.info["orderings_used"] == len(fam) == 4
         union = RankGraph(n, [], [])
         for oid in range(len(fam)):

@@ -340,6 +340,23 @@ def test_monte_carlo_source_sample_of_n_is_exact():
                                       source_sample=s) == exact
 
 
+def test_closure_refuses_more_than_physical_memory(monkeypatch):
+    # the closure holds n + 1 rows of ceil(s / 64) words over s sources:
+    # 151 * 3 * 8 bytes for all 150, 151 * 2 * 8 for a sample of 100
+    g = interval_graph(150, 10)
+    exact = deficiency(g)
+    sampled = monte_carlo_deficiency(g, 0.5, 2, master=3, source_sample=100)
+    for nbytes, count, expected in (
+            (151 * 3 * 8, lambda: deficiency(g), exact),
+            (151 * 2 * 8, lambda: monte_carlo_deficiency(
+                g, 0.5, 2, master=3, source_sample=100), sampled)):
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes)
+        assert count() == expected
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            count()
+
+
 def test_monte_carlo_validation():
     g = complete_graph(5)
     with pytest.raises(ValueError):

@@ -94,6 +94,7 @@ def test_larger_hop_budget_means_sparser_connectors():
 def test_interval_radius_example():
     assert interval_radius(1024, 0.5, 4.0) == 56
     assert interval_radius(2, 0.5, 4.0) == 1
+    assert interval_radius(1, 0.5) == 0  # ln 1 = 0
 
 
 def test_interval_spanner_edges():
@@ -162,6 +163,11 @@ def test_connector_extremes():
     assert empty.shape[0] == 0
     with pytest.raises(ValueError, match="overlap"):
         bipartite_connector((1, 5), (5, 9), 0.5, derive_stream(0, 0))
+    # x_block must end before y_block starts: every caller orders them so
+    with pytest.raises(ValueError, match="reversed"):
+        bipartite_connector((6, 10), (1, 5), 1.0, derive_stream(0, 0))
+    assert full.dtype == np.int64
+    assert full.tolist() == [[x, y] for x in range(1, 6) for y in range(6, 11)]
 
 
 def test_connector_binomial_mean():
