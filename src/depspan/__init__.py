@@ -31,7 +31,7 @@ _EXPORTS = {
     "reach": ("DeficiencyReport", "straight_reachable", "straight_hops",
               "deficiency", "khop_deficiency", "khop_deficiency_split",
               "no_two_hop_probability", "expected_two_hop_deficiency",
-              "monte_carlo_deficiency"),
+              "failure_trials", "monte_carlo_deficiency"),
     "spanners1d": ("DerivedParams", "interval_radius",
                    "dependable_interval_spanner", "two_hop_hierarchy",
                    "block_partition", "bipartite_connector",

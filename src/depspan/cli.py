@@ -27,33 +27,20 @@ def _write_graph(g, out: str | None) -> None:
         write_edge_list(g, out)
 
 
-def _write_sidecar(out: str | None, payload: dict) -> None:
-    if out is None:
-        return
-    with open(out + ".json", "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_gen_clique(args) -> int:
     from .graphs import complete_graph
     _write_graph(complete_graph(args.n), args.out)
     return 0
 
 
-def _cmd_build_interval(args) -> int:
+def _build_interval(args):
     from .spanners1d import dependable_interval_spanner, interval_radius
-    g = dependable_interval_spanner(args.n, args.psi, args.c6)
-    _write_graph(g, args.out)
-    _write_sidecar(args.out, {
-        "construction": "interval", "n": args.n, "psi": args.psi,
-        "c6": args.c6, "radius": interval_radius(args.n, args.psi, args.c6),
-        "edges": g.m,
-    })
-    return 0
+    return dependable_interval_spanner(args.n, args.psi, args.c6), {
+        "n": args.n, "psi": args.psi, "c6": args.c6,
+        "radius": interval_radius(args.n, args.psi, args.c6)}
 
 
-def _cmd_build_rank(args) -> int:
+def _build_rank(args):
     """build fourhop|khop; the sidecar reports the very parameters the graph
     is built from."""
     from dataclasses import asdict
@@ -64,27 +51,31 @@ def _cmd_build_rank(args) -> int:
     else:
         dp = DerivedParams.for_k_hop(args.n, args.psi, args.k, args.c7)
         extra = {"k": args.k}
-    g = _assemble(args.n, dp, args.seed)
-    _write_graph(g, args.out)
-    _write_sidecar(args.out, {
-        "construction": args.construction, "n": args.n, "psi": args.psi,
-        "c7": args.c7, "seed": args.seed, "edges": g.m, **extra, **asdict(dp),
-    })
-    return 0
+    return _assemble(args.n, dp, args.seed), {
+        "n": args.n, "psi": args.psi, "c7": args.c7, "seed": args.seed,
+        **extra, **asdict(dp)}
 
 
-def _cmd_build_euclid(args) -> int:
+def _build_euclid(args):
     from .euclid import euclidean_dependable_spanner, normalize_points
     from .fileio import read_points
     pts = normalize_points(read_points(args.points))
     h = euclidean_dependable_spanner(pts, args.eps, args.psi, args.c7,
                                      seed=args.seed,
                                      max_orderings=args.max_orderings)
-    _write_graph(h.graph, args.out)
-    _write_sidecar(args.out, {
-        "construction": "euclid", "n": pts.n, "d": pts.dim,
-        "scale": pts.scale, "edges": h.graph.m, **h.info,
-    })
+    return h.graph, {"n": pts.n, "d": pts.dim, "scale": pts.scale, **h.info}
+
+
+def _cmd_build(args) -> int:
+    """Every build: args.builder returns the graph and its sidecar fields;
+    with --out the sidecar goes to OUT.json."""
+    g, fields = args.builder(args)
+    _write_graph(g, args.out)
+    if args.out is not None:
+        with open(args.out + ".json", "w", encoding="ascii") as fh:
+            json.dump({"construction": args.construction, "edges": g.m,
+                       **fields}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
@@ -208,6 +199,37 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+# The flags several commands share, each declared once: dest -> keywords of
+# add_argument. A command declares its own flags, and those it takes with
+# another spec, where it lists them (see _command).
+_SHARED = {
+    "n": dict(type=int, required=True),
+    "psi": dict(type=float, required=True),
+    "c6": dict(type=float, default=DEFAULT_C6),
+    "c7": dict(type=float, default=DEFAULT_C7),
+    "seed": dict(type=int, default=0),
+    "out": dict(),
+    "graph": dict(required=True),
+    "points": dict(required=True),
+    "eps": dict(type=float, required=True),
+    "hops": dict(type=int, default=None),
+    "trials": dict(type=int, default=100),
+    "source_samples": dict(type=int, default=None),
+    "check": dict(action="store_true"),
+}
+
+
+def _command(sub, name: str, summary: str, func, flags: str, **own):
+    """Add command `name` running func(args). `flags` lists its flags' dests
+    in help order; each is declared by `own` if there, else by _SHARED."""
+    p = sub.add_parser(name, help=summary)
+    for dest in flags.split():
+        p.add_argument("--" + dest.replace("_", "-"),
+                       **(own[dest] if dest in own else _SHARED[dest]))
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="depspan",
@@ -216,105 +238,51 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-clique", help="emit the complete graph K_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen_clique)
+    _command(sub, "gen-clique", "emit the complete graph K_n", _cmd_gen_clique,
+             "n out")
 
     build = sub.add_parser("build", help="construct a spanner").add_subparsers(
         dest="construction", required=True)
+    # --k and --max-orderings each belong to one build
+    own = dict(k=dict(type=int, required=True),
+               max_orderings=dict(type=int, default=DEFAULT_MAX_ORDERINGS))
+    for name, summary, builder, flags in (
+            ("interval", "interval dependable exact spanner", _build_interval,
+             "n psi c6 out"),
+            ("fourhop", "4-hop dependable exact spanner", _build_rank,
+             "n psi c7 seed out"),
+            ("khop", "k-hop dependable exact spanner", _build_rank,
+             "n psi k c7 seed out"),
+            ("euclid", "Euclidean dependable (1+eps)-spanner", _build_euclid,
+             "points eps psi c7 seed max_orderings out")):
+        _command(build, name, summary, _cmd_build, flags, **own).set_defaults(
+            builder=builder)
 
-    p = build.add_parser("interval", help="interval dependable exact spanner")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--c6", type=float, default=DEFAULT_C6)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_build_interval)
-
-    p = build.add_parser("fourhop", help="4-hop dependable exact spanner")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--c7", type=float, default=DEFAULT_C7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_build_rank)
-
-    p = build.add_parser("khop", help="k-hop dependable exact spanner")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c7", type=float, default=DEFAULT_C7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_build_rank)
-
-    p = build.add_parser("euclid", help="Euclidean dependable (1+eps)-spanner")
-    p.add_argument("--points", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--c7", type=float, default=DEFAULT_C7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-orderings", type=int, default=DEFAULT_MAX_ORDERINGS)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_build_euclid)
-
-    p = sub.add_parser("filter", help="apply one random edge-failure draw")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--psi", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream-index", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("deficiency",
-                       help="count failed pairs, exactly or by Monte Carlo")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--hops", type=int, default=None)
-    p.add_argument("--psi", type=float, default=None,
-                   help="if given, Monte Carlo under edge survival psi")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="validated (>= 1) and ignored; trials run in order")
-    p.add_argument("--source-samples", type=int, default=None)
-    p.set_defaults(func=_cmd_deficiency)
-
-    p = sub.add_parser("verify-stretch",
-                       help="count bounded-hop (1+eps)-stretch failures")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--points", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--hops", type=int, required=True)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=_cmd_verify_stretch)
-
-    p = sub.add_parser("lso-check",
-                       help="run the ordering-family locality gate")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--pairs", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=_cmd_lso_check)
-
-    p = sub.add_parser("experiment", help="run a named experiment to CSV")
+    _command(sub, "filter", "apply one random edge-failure draw", _cmd_filter,
+             "graph psi seed stream_index out",
+             stream_index=dict(type=int, default=0))
+    _command(sub, "deficiency", "count failed pairs, exactly or by Monte Carlo",
+             _cmd_deficiency, "graph hops psi trials seed jobs source_samples",
+             psi=dict(type=float, default=None,
+                      help="if given, Monte Carlo under edge survival psi"),
+             jobs=dict(type=int, default=1,
+                       help="validated (>= 1) and ignored; trials run in order"))
+    _command(sub, "verify-stretch", "count bounded-hop (1+eps)-stretch failures",
+             _cmd_verify_stretch, "graph points eps hops check",
+             hops=dict(type=int, required=True))
+    _command(sub, "lso-check", "run the ordering-family locality gate",
+             _cmd_lso_check, "d eps n pairs seed check",
+             d=dict(type=int, required=True), n=dict(type=int, default=512),
+             pairs=dict(type=int, default=10000))
+    p = _command(sub, "experiment", "run a named experiment to CSV",
+                 _cmd_experiment,
+                 "n psi k trials seed hops c6 c7 source_samples out check",
+                 n=dict(type=_int_list, required=True,
+                        help="comma-separated vertex counts"),
+                 psi=dict(type=_float_list, required=True,
+                          help="comma-separated survival probabilities"),
+                 k=dict(type=_int_list, default=[4]))
     p.add_argument("name", choices=sorted(EXPERIMENT_NAMES))
-    p.add_argument("--n", type=_int_list, required=True,
-                   help="comma-separated vertex counts")
-    p.add_argument("--psi", type=_float_list, required=True,
-                   help="comma-separated survival probabilities")
-    p.add_argument("--k", type=_int_list, default=[4])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hops", type=int, default=None)
-    p.add_argument("--c6", type=float, default=DEFAULT_C6)
-    p.add_argument("--c7", type=float, default=DEFAULT_C7)
-    p.add_argument("--source-samples", type=int, default=None)
-    p.add_argument("--out")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=_cmd_experiment)
-
     return ap
 
 

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 from . import DEFAULT_C6, DEFAULT_C7, EXPERIMENT_NAMES
-from .graphs import complete_graph, filter_edges, interval_graph
+from .graphs import complete_graph, interval_graph
 from .reach import (DeficiencyReport, expected_two_hop_deficiency,
-                    khop_deficiency_split, monte_carlo_deficiency)
-from .rng import derive_seed, derive_stream
+                    failure_trials, khop_deficiency_split,
+                    monte_carlo_deficiency)
+from .rng import derive_seed
 from .spanners1d import (DerivedParams, _assemble, _check_constant,
                          dependable_interval_spanner, interval_radius)
 
@@ -189,14 +190,13 @@ def experiment_hop_survival(cfg, cell_seed, n, psi, k):
     g = _assemble(n, dp, derive_seed(cell_seed, 0))
     mc_seed = derive_seed(cell_seed, 1)
 
-    def run(t: int):
-        h = filter_edges(g, psi, derive_stream(mc_seed, t))
-        return khop_deficiency_split(h, k, dp.radius)
-
-    splits = [run(t) for t in range(cfg.trials)]
+    splits = list(itertools.starmap(
+        lambda h, _: khop_deficiency_split(h, k, dp.radius),
+        failure_trials(g, psi, cfg.trials, mc_seed)))
     totals = [s + l for s, l in splits]
     rep = DeficiencyReport.from_counts(n, psi, k, mc_seed, totals)
-    reference = n / (psi * psi)
+    # psi^2 underflows to 0 below about 1e-162, where n / psi^2 is past range
+    reference = n / (psi * psi) if psi * psi > 0 else math.inf
     return [n, psi, k, "fourhop" if k == 4 else "khop", dp.nu,
             dp.block_size, dp.radius, dp.connector_rate, cfg.trials, cell_seed,
             sum(s for s, _ in splits) / cfg.trials,

@@ -28,6 +28,7 @@ small graphs, the hop-bounded engine also at panel heights far below n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ __all__ = [
     "khop_deficiency_split",
     "no_two_hop_probability",
     "expected_two_hop_deficiency",
+    "failure_trials",
     "monte_carlo_deficiency",
 ]
 
@@ -389,18 +391,30 @@ class DeficiencyReport:
                 f"{self.mean_failed_pairs:.12g},{self.stderr:.12g},{self.seed}")
 
 
+def failure_trials(g: RankGraph, psi: float, trials: int, master: int):
+    """The one trial loop: for t in 0..trials-1, in order, yield the failed
+    graph filter_edges(g, psi, stream) and the stream it was drawn from,
+    stream = derive_stream(master, t), for any further draw of trial t.
+    Consume it with itertools.starmap, which drops a trial before drawing
+    the next; a for loop would hold two failed graphs at once."""
+    for t in range(trials):
+        stream = derive_stream(master, t)
+        yield filter_edges(g, psi, stream), stream
+
+
 def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
                            hop_bound: int | None = None, master: int = 0,
                            jobs: int = 1,
                            source_sample: int | None = None) -> DeficiencyReport:
     """Estimate the expected deficiency of g under survival rate psi.
 
-    Trial t is filter_edges(g, psi, derive_stream(master, t)) followed by the
-    exact failed-pair count of the filtered graph, unless source_sample < n:
-    then the same stream draws that many sources afterwards, and the count
-    over them is scaled by n / source_sample (unbiased). Trials run in
-    order, so the report is a pure function of the arguments. `jobs` is
-    validated (>= 1) and otherwise ignored.
+    Trial t is filter_edges(g, psi, derive_stream(master, t)), drawn by
+    failure_trials, followed by the exact failed-pair count of the filtered
+    graph, unless source_sample < n: then the same stream draws that many
+    sources afterwards, and the count over them is scaled by
+    n / source_sample (unbiased). Trials run in order, so the report is a
+    pure function of the arguments. `jobs` is validated (>= 1) and
+    otherwise ignored.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -419,9 +433,7 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
     n = g.n
     sampled = source_sample is not None and source_sample < n
 
-    def run(t: int):
-        stream = derive_stream(master, t)
-        h = filter_edges(g, psi, stream)
+    def count(h: RankGraph, stream) -> float:
         if hop_bound is not None:
             return khop_deficiency(h, hop_bound)
         if not sampled:
@@ -430,5 +442,5 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
         missing = int((n - sources).sum()) - _closure_reachable_pairs(h, sources)
         return missing * n / source_sample
 
-    counts = [run(t) for t in range(trials)]
+    counts = list(itertools.starmap(count, failure_trials(g, psi, trials, master)))
     return DeficiencyReport.from_counts(n, psi, hop_bound, master, counts)

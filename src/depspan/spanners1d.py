@@ -70,7 +70,9 @@ class DerivedParams:
             raise ValueError(f"hop budget must be >= 3, got {k}")
         _check_constant("c7", c7)
         nu = psi ** (-1.0 / (k - 1))
-        block = min(n, math.ceil((c7 * nu / psi) * math.log(n)))
+        # compared before rounding: tiny psi or huge c7 make the size inf
+        size = (c7 * nu / psi) * math.log(n)
+        block = n if size >= n else math.ceil(size)
         return cls(nu=nu, block_size=block, radius=min((k + 4) * block, n - 1),
                    connector_rate=min(1.0, c7 * c7 * nu / (psi * block)))
 
@@ -103,7 +105,10 @@ def interval_radius(n: int, psi: float, c6: float = DEFAULT_C6) -> int:
     if not (0.0 < psi <= 1.0):
         raise ValueError(f"survival probability must be in (0, 1], got {psi}")
     _check_constant("c6", c6)
-    return min(n - 1, math.ceil((c6 / psi) * math.log(n)))
+    # compared before rounding: tiny psi or huge c6 make the radius inf (nan
+    # at n = 1, where log n = 0)
+    radius = (c6 / psi) * math.log(n)
+    return math.ceil(radius) if radius < n - 1 else n - 1
 
 
 def dependable_interval_spanner(n: int, psi: float, c6: float = DEFAULT_C6) -> RankGraph:

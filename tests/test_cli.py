@@ -54,11 +54,19 @@ def test_rank_builds_and_hop_survival_match_golden_hashes(tmp_path, capsys):
     # SHA-256 of the sidecars and the CSV, whose parameter values must be the
     # ones the graph was built with
     flags = ["--n", "700", "--psi", "0.4", "--c7", "3", "--seed", "9"]
+    # 600 points over 4 orderings: density 0.92, not K_n
+    points = tmp_path / "points.txt"
+    write_points(np.random.default_rng(0).random((600, 2)), points)
     for argv, expected in (
             (["build", "fourhop", *flags],
              "0f2ae59a9bd89d92565c43500c2f4aeba8c489753ca4a451606a258b7d12b612"),
             (["build", "khop", *flags, "--k", "5"],
-             "05a6d48f09783c4e1b78aed0a2efdf3239fb163361fcb59be3bb38d2b331f42d")):
+             "05a6d48f09783c4e1b78aed0a2efdf3239fb163361fcb59be3bb38d2b331f42d"),
+            (["build", "interval", "--n", "700", "--psi", "0.4", "--c6", "3"],
+             "befd878953dd4a61e6c4e4f57f6b9fa0ce096281ecaa4247ec473073ac02d0be"),
+            (["build", "euclid", "--points", str(points), "--eps", "0.25",
+              "--psi", "0.4", "--c7", "3", "--seed", "9", "--max-orderings", "4"],
+             "6d7fc1cf75ced33768cac60887b8f8d894223a63509a23d185e37f4121946fe0")):
         out = tmp_path / f"{argv[1]}.edges"
         assert run(capsys, *argv, "--out", str(out))[0] == 0
         sidecar = (tmp_path / f"{argv[1]}.edges.json").read_bytes()
@@ -159,6 +167,21 @@ def test_deficiency_refuses_more_than_physical_memory(tmp_path, capsys,
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 65 * 8 - 1)
     code, out, err = run(capsys, "deficiency", "--graph", str(g))
     assert code == 2 and "physical memory" in err and not out
+
+
+@pytest.mark.filterwarnings("ignore:survival probability .* below 1/n")
+def test_builds_past_float_range_are_the_clique(capsys):
+    # tiny psi or a huge constant overflow the block size and radius to inf;
+    # every such build is K_n, and hop-survival's reference n/psi^2 is inf
+    clique = run(capsys, "gen-clique", "--n", "100")[1]
+    for argv in (["fourhop", "--psi", "1e-300"],
+                 ["interval", "--psi", "1e-320"],
+                 ["fourhop", "--psi", "0.5", "--c7", "1e308"],
+                 ["khop", "--psi", "1e-300", "--k", "3"]):
+        assert run(capsys, "build", *argv, "--n", "100") == (0, clique, ""), argv
+    code, out, _ = run(capsys, "experiment", "hop-survival", "--n", "64",
+                       "--psi", "1e-300", "--trials", "1")
+    assert code == 0 and out.splitlines()[1].split(",")[-3] == "inf"
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

@@ -97,6 +97,19 @@ def test_interval_radius_example():
     assert interval_radius(1, 0.5) == 0  # ln 1 = 0
 
 
+def test_sizes_past_float_range_clamp_to_the_clique():
+    # (c/psi) ln n overflows to inf for tiny psi or huge constants; the
+    # block is then n and the radius n - 1, not an OverflowError from ceil
+    for psi, c7 in ((1e-300, 4.0), (0.5, 1e308)):
+        dp = DerivedParams.for_four_hop(100, psi, c7)
+        assert (dp.block_size, dp.radius, dp.connector_rate) == (100, 99, 1.0)
+        dp = DerivedParams.for_k_hop(100, psi, 3, c7)
+        assert (dp.block_size, dp.radius, dp.connector_rate) == (100, 99, 1.0)
+    assert interval_radius(100, 1e-320) == 99
+    assert interval_radius(100, 0.5, 1e308) == 99
+    assert interval_radius(1, 1e-320) == 0  # ln 1 = 0 times inf is nan
+
+
 def test_interval_spanner_edges():
     g = dependable_interval_spanner(2, 0.5)
     assert g.m == 1
