@@ -12,15 +12,20 @@ single forward sweep. Two exact engines back the pair counts:
 * hop-bounded reachability: boolean powers of I + A by square-and-multiply,
   stored as float32 row panels that each hold their rows from the diagonal
   rightwards, and multiplied in place, panel by panel, with BLAS, for every
-  n. Before each product the engine counts the pairs its most advanced
-  power B^h still misses. Once those, times the k - h hops still to take,
-  are at most 1/64 of all pairs, it lists them, packs B^h's rows into bits
-  and settles them hop by hop with bit tests against I + A's column bits
-  instead of multiplying pairs that are already connected. Memory is about
-  2 * (n^2 / 2) * 4 bytes plus one panel product (half that when k is a
-  power of two); the bit finish adds two n^2 / 8-byte bit matrices and an
-  n^2-byte scratch, allocated after the power it packs is released. The
-  planned bytes are checked against physical memory before any allocation.
+  n. The left factor enters BLAS with two 0/1 rows packed into one,
+  a + 4096 * b, so each call has half the rows; path counts stay below
+  4096 per field (clamped back to 1 between K-steps where they could pass
+  it), so every sum is an integer below 2^24 and exact in float32. Before
+  each product the engine counts the pairs its most advanced power B^h
+  still misses. Once those, times the k - h hops still to take, are at most
+  1/64 of all pairs, it lists them, packs B^h's rows into bits and settles
+  them hop by hop with bit tests against I + A's column bits instead of
+  multiplying pairs that are already connected. Memory is about
+  2 * (n^2 / 2) * 4 bytes (half that when k is a power of two) plus one
+  panel product's scratch, 2.5 panels of n columns; the bit finish adds two
+  n^2 / 8-byte bit matrices and an n^2-byte scratch, allocated after the
+  power it packs is released. The planned bytes are checked against
+  physical memory before any allocation.
 
 The test suite cross-checks both against brute-force path enumeration on
 small graphs, the hop-bounded engine also at panel heights far below n.
@@ -50,8 +55,17 @@ __all__ = [
     "monte_carlo_deficiency",
 ]
 
-# Rows per panel of the hop-bounded engine.
-_TILE = 512
+# Rows per panel of the hop-bounded engine; at most _BASE - 2. Measured
+# with packed products, k = 4 on the filtered default four-hop spanner (2
+# cores, OpenBLAS; medians of 24 calls): 41.8, 42.5, 41.4, 45.3 and 53.5 ms
+# at heights 192, 256, 320, 384 and 512 for n=2048; 7.8-8.4 ms at heights
+# 128-384 for n=1024.
+_TILE = 256
+
+# Base of the two path-count fields a packed float32 entry holds (see
+# _panel_product), a power of two: counts stay below it, so entries stay
+# below _BASE^2 = 2^24, up to which float32 holds every integer exactly.
+_BASE = 4096
 
 # The hop-bounded engine stops its BLAS products once the missing pairs of
 # its best power, times the hops still to take, are at most this share of
@@ -168,15 +182,64 @@ def _panel_product(x: list, y: list) -> None:
 
     Panel I of the product is the sum over K >= I of X's panel I, columns of
     panel K's rows, @ Y's panel K. It reads only X's panel I and Y's panels
-    K >= I, so x may be y (squaring), and panel I is replaced as soon as it
-    is done: one panel product is the only scratch."""
+    K >= I, so x may be y (squaring). Each X panel of h rows enters BLAS as
+    ceil(h / 2) packed rows: row r holds its own 0/1 entries times _BASE
+    plus those of row r + ceil(h / 2), so every call has half the rows. An
+    entry of the packed product is then hi * _BASE + lo, hi and lo the path
+    counts of the two rows. Each K-step adds at most _TILE to a count, so
+    after every `steps` K-steps the columns still to be summed are clamped
+    back to one path per field, and no count passes _BASE - 1: every
+    partial sum is an integer below _BASE^2 = 2^24, exact in float32 under
+    any summation order or blocking. Panel I is replaced by a new array as
+    soon as it is done, never written in place, since x and y may share
+    panel arrays; its scratch is what _product_scratch plans."""
+    if _TILE > _BASE - 2:
+        raise ValueError(f"panel height {_TILE} exceeds {_BASE - 2}: "
+                         f"path counts would overflow their {_BASE} base")
+    steps = (_BASE - 2) // _TILE  # K-steps per count group
+    base = np.float32(_BASE)
     for I, xp in enumerate(x):
-        out = xp[:, :_TILE] @ y[I]
+        h = xp.shape[0]
+        m = (h + 1) // 2  # packed rows: hi field rows :m, lo field rows m:
+        packed = xp[:m] * base
+        packed[:h - m] += xp[m:]
+        acc = packed[:, :_TILE] @ y[I]
         for K in range(I + 1, len(y)):
             off = (K - I) * _TILE
-            out[:, off:] += xp[:, off:off + _TILE] @ y[K]
-        np.minimum(out, 1.0, out=out)  # entries are path counts >= 0
-        x[I] = out
+            if (K - I) % steps == 0:
+                _clamp_fields(acc[:, off:])
+            acc[:, off:] += packed[:, off:off + _TILE] @ y[K]
+        x[I] = _unpack(acc, packed.view(np.int32), h)
+
+
+def _clamp_fields(acc: np.ndarray) -> None:
+    """Clamp both count fields of packed entries to at most 1, in place."""
+    hi = acc >= _BASE
+    lo = acc.astype(np.int32)
+    lo &= _BASE - 1
+    acc[...] = lo != 0
+    np.add(acc, _BASE, out=acc, where=hi)
+
+
+def _unpack(acc: np.ndarray, scratch: np.ndarray, h: int) -> np.ndarray:
+    """The h-row 0/1 float32 panel packed in acc (see _panel_product);
+    scratch is an int32 array of acc's shape that may be overwritten."""
+    m = acc.shape[0]
+    out = np.empty((h, acc.shape[1]), dtype=np.float32)
+    out[:m] = acc >= _BASE
+    lo = scratch[:h - m]
+    lo[...] = acc[:h - m]
+    lo &= _BASE - 1
+    out[m:] = lo != 0
+    return out
+
+
+def _product_scratch(n: int) -> int:
+    """Bytes a _panel_product holds beyond its factors, at most: for the
+    widest panel (h rows, n columns), the packed rows, their accumulator and
+    the BLAS temporary, ceil(h / 2) rows each, and the unpacked panel."""
+    h = min(_TILE, n)
+    return 4 * (3 * ((h + 1) // 2) + h) * n
 
 
 def _zeros_beyond(panels: list, d: int) -> int:
@@ -282,7 +345,7 @@ def _khop_missing(g: RankGraph, k: int, radii: tuple) -> list:
     kk = min(k, max(1, n - 1))  # longer straight paths cannot exist
     matrix = 4 * sum(min(_TILE, n - s) * (n - s) for s in range(0, n, _TILE))
     powers = 1 if kk & (kk - 1) == 0 else 2
-    _check_dense(powers * matrix + 4 * min(_TILE, n) * n,
+    _check_dense(powers * matrix + _product_scratch(n),
                  f"the {k}-hop engine at n={n}")
     # square-and-multiply: "sq" squares the power B^(2^t), "mul" multiplies
     # the accumulated power by it, "copy" starts the accumulated power

@@ -102,6 +102,11 @@ def test_khop_matches_brute_force_exhaustive_n4():
 # boundaries, which the bit finish's row packing must handle.
 _TILES = (reach._TILE, 4, 7, 1)
 
+# (base, height) packings of the panel product: the default base at every
+# height above, and small bases whose counts, at the sizes of the tests, pass
+# the base unless the product clamps them back between K-steps.
+_PACKINGS = tuple((reach._BASE, t) for t in _TILES) + ((4, 1), (4, 2), (8, 6))
+
 # Shares for the bit finish: never (BLAS products until no pair is missing),
 # the default, two that switch after some products on these small graphs, and
 # always (from I + A itself, before any product).
@@ -116,11 +121,13 @@ def test_khop_engines_agree_with_brute_force_sampled(np_rng, monkeypatch):
             assert deficiency(g) == brute_deficiency(n, edges)
             for k in range(1, 9):
                 expected = brute_deficiency(n, edges, k)
-                for tile in _TILES:
+                for base, tile in _PACKINGS:
+                    monkeypatch.setattr(reach, "_BASE", base)
                     monkeypatch.setattr(reach, "_TILE", tile)
                     for share in _SHARES:
                         monkeypatch.setattr(reach, "_BIT_FINISH_SHARE", share)
-                        assert khop_deficiency(g, k) == expected, (k, tile, share)
+                        assert khop_deficiency(g, k) == expected, (
+                            k, base, tile, share)
 
 
 def test_khop_split_engines_agree(monkeypatch):
@@ -138,7 +145,8 @@ def test_khop_split_engines_agree(monkeypatch):
                          if j - i > radius and hops[i][j] > k)
                      for radius in radii]
             radius = radii[k % len(radii)]
-            for tile in _TILES:
+            for base, tile in _PACKINGS:
+                monkeypatch.setattr(reach, "_BASE", base)
                 monkeypatch.setattr(reach, "_TILE", tile)
                 for share in (0.0, reach._BIT_FINISH_SHARE, math.inf):
                     monkeypatch.setattr(reach, "_BIT_FINISH_SHARE", share)
@@ -168,11 +176,82 @@ def test_bit_finish_replaces_products_only_for_few_missing_pairs(monkeypatch):
             assert khop_deficiency(g, 4) == count
 
 
+def _to_panels(dense: np.ndarray) -> list:
+    """An upper-triangular n x n matrix as the engine's float32 row panels."""
+    t = reach._TILE
+    return [dense[s:s + t, s:].astype(np.float32)
+            for s in range(0, len(dense), t)]
+
+
+def _from_panels(panels: list, n: int) -> np.ndarray:
+    dense = np.zeros((n, n), dtype=np.float32)
+    for p, panel in enumerate(panels):
+        s = p * reach._TILE
+        dense[s:s + len(panel), s:] = panel
+    return dense
+
+
+def test_panel_product_matches_dense_boolean_product(np_rng, monkeypatch):
+    # random upper-triangular 0/1 factors, dense enough that path counts
+    # pass the small bases: exact only if the product clamps them in time
+    for base, tile in _PACKINGS + ((8, 4), (16, 7)):
+        monkeypatch.setattr(reach, "_BASE", base)
+        monkeypatch.setattr(reach, "_TILE", tile)
+        for n in (1, 2, 5, 23, 40):
+            density = np_rng.uniform(0.3, 1.0)
+            x = np.triu(np_rng.random((n, n)) < density).astype(np.float32)
+            y = np.triu(np_rng.random((n, n)) < density).astype(np.float32)
+            xp, yp = _to_panels(x), _to_panels(y)
+            reach._panel_product(xp, yp)
+            assert np.array_equal(_from_panels(xp, n), (x @ y) > 0), (base, tile, n)
+            assert np.array_equal(_from_panels(yp, n), y)
+            sq = _to_panels(y)
+            reach._panel_product(sq, sq)
+            assert np.array_equal(_from_panels(sq, n), (y @ y) > 0), (base, tile, n)
+            # x sharing y's panel arrays, as after the engine's "copy" step
+            shared = list(yp)
+            reach._panel_product(shared, yp)
+            assert np.array_equal(_from_panels(shared, n), (y @ y) > 0)
+            assert np.array_equal(_from_panels(yp, n), y)
+
+
+def test_panel_height_above_base_fails_loudly(monkeypatch):
+    monkeypatch.setattr(reach, "_BASE", 8)
+    monkeypatch.setattr(reach, "_TILE", 7)
+    with pytest.raises(ValueError, match="panel height 7"):
+        khop_deficiency(interval_graph(20, 3), 2)
+
+
+def test_panel_product_scratch_stays_within_plan(monkeypatch):
+    # several panels, ragged last one; a small base also runs the clamping
+    # between K-steps. Squaring replaces each panel by one of the same size,
+    # so the peak above the factors is the product's scratch alone. The
+    # factors are allocated under tracemalloc, so that their release counts.
+    g = filter_edges(complete_graph(600), 0.3, derive_stream(6, 0))
+    for base, tile in ((reach._BASE, reach._TILE), (reach._BASE, 64),
+                       (reach._BASE, 37), (64, 62)):
+        monkeypatch.setattr(reach, "_BASE", base)
+        monkeypatch.setattr(reach, "_TILE", tile)
+        tracemalloc.start()
+        try:
+            panels = reach._unit_panels(g)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            reach._panel_product(panels, panels)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        plan = reach._product_scratch(g.n)
+        assert plan / 2 < peak <= plan, (base, tile, peak, plan)
+
+
 def test_khop_refuses_more_than_physical_memory(monkeypatch):
-    # n = 64 is one panel: one 64 x 64 float32 power plus one panel product
-    # for k = 2, two powers for k = 3
+    # n = 64 is one panel: one 64 x 64 float32 power plus one panel
+    # product's scratch for k = 2 (32 packed rows, their accumulator and
+    # BLAS temporary, and the unpacked 64-row panel), two powers for k = 3
     g = interval_graph(64, 2)
-    planned = {2: 2 * 64 * 64 * 4, 3: 3 * 64 * 64 * 4}
+    scratch = 4 * (3 * 32 + 64) * 64
+    planned = {2: 64 * 64 * 4 + scratch, 3: 2 * 64 * 64 * 4 + scratch}
     expected = {k: khop_deficiency(g, k) for k in planned}
     for k, nbytes in planned.items():
         monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes)
