@@ -10,22 +10,26 @@ single forward sweep. Two exact engines back the pair counts:
   of the canonical edge order, so no engine re-sorts edges) in
   (n + 1) * ceil(s / 64) words, checked against physical memory first;
 * hop-bounded reachability: boolean powers of I + A by square-and-multiply,
-  stored as float32 row panels that each hold their rows from the diagonal
+  stored as bool row panels that each hold their rows from the diagonal
   rightwards, and multiplied in place, panel by panel, with BLAS, for every
-  n. The left factor enters BLAS with two 0/1 rows packed into one,
-  a + 4096 * b, so each call has half the rows; path counts stay below
-  4096 per field (clamped back to 1 between K-steps where they could pass
-  it), so every sum is an integer below 2^24 and exact in float32. Before
-  each product the engine counts the pairs its most advanced power B^h
-  still misses. Once those, times the k - h hops still to take, are at most
-  1/64 of all pairs, it lists them, packs B^h's rows into bits and settles
-  them hop by hop with bit tests against I + A's column bits instead of
-  multiplying pairs that are already connected. Memory is about
-  2 * (n^2 / 2) * 4 bytes (half that when k is a power of two) plus one
-  panel product's scratch, 2.5 panels of n columns; the bit finish adds two
-  n^2 / 8-byte bit matrices and an n^2-byte scratch, allocated after the
-  power it packs is released. The planned bytes are checked against
-  physical memory before any allocation.
+  n. Only the product sees float32: it copies the right factor's panels to
+  float32 as it first takes them, and the left factor enters BLAS with two
+  0/1 rows packed into one, a + 4096 * b, so each call has half the rows;
+  path counts stay below 4096 per field (clamped back to 1 between K-steps
+  where they could pass it), so every sum is an integer below 2^24 and
+  exact in float32, and each finished accumulator is decoded straight into
+  a new bool panel. Before each product the engine counts the pairs its
+  most advanced power B^h still misses. Once those, times the k - h hops
+  still to take, are at most 1/64 of all pairs, it lists them, packs B^h's
+  bool rows into bits and settles them hop by hop with bit tests against
+  I + A's column bits (packed from its bool panels before the first
+  product) instead of multiplying pairs that are already connected. Memory
+  is about 2 * n^2 / 2 bytes of bool powers (half that when k is a power
+  of two) and n^2 / 8 bytes of column bits, plus the larger of one panel
+  product's scratch, mostly the float32 copy of its right factor, about
+  4 * n^2 / 2 bytes, and the bit finish's: n^2 / 8 bytes of row bits, one
+  panel's scratch and the listed pairs. The planned bytes are checked
+  against physical memory before any allocation.
 
 The test suite cross-checks both against brute-force path enumeration on
 small graphs, the hop-bounded engine also at panel heights far below n.
@@ -87,7 +91,11 @@ _ONE = np.uint64(1)
 def _out_runs(g: RankGraph) -> list:
     """Bounds of each vertex's out-edges in canonical order: the edges
     (i, j), j > i, are runs[i]:runs[i + 1], for i in 0..n."""
-    return np.searchsorted(g.edge_i, np.arange(g.n + 2)).tolist()
+    # probed with int32, edge_i's dtype (an int64 probe casts all of edge_i);
+    # ranks 0..n fit in int32, and no edge starts at n or n + 1
+    runs = np.searchsorted(g.edge_i, np.arange(g.n + 1, dtype=np.int32)).tolist()
+    runs.append(g.m)
+    return runs
 
 
 def straight_reachable(g: RankGraph, source: int) -> np.ndarray:
@@ -153,7 +161,7 @@ def deficiency(g: RankGraph) -> int:
 # finished by bit tests once few pairs are missing
 
 def _unit_panels(g: RankGraph) -> list:
-    """I + A as float32 row panels, A the adjacency of g's edges i < j:
+    """I + A as bool row panels, A the adjacency of g's edges i < j:
     panel p holds rows s..s+h-1 and columns s..n-1, s = p * _TILE,
     h = min(_TILE, n - s), so its entry (a, b) is entry (s + a, s + b)
     (0-based) and b - a is the rank distance."""
@@ -161,8 +169,8 @@ def _unit_panels(g: RankGraph) -> list:
     panels = []
     for s in range(0, n, _TILE):
         h = min(_TILE, n - s)
-        panel = np.zeros((h, n - s), dtype=np.float32)
-        np.fill_diagonal(panel, 1.0)
+        panel = np.zeros((h, n - s), dtype=bool)
+        np.fill_diagonal(panel, True)
         a, b = runs[s + 1], runs[s + h + 1]  # out-edges of ranks s+1..s+h
         # one flat intp index: a 2-D fancy index would convert both int32
         # slices to intp on its own
@@ -171,18 +179,25 @@ def _unit_panels(g: RankGraph) -> list:
         flat *= n - s
         flat += g.edge_j[a:b]
         flat -= s + 1
-        panel.ravel()[flat] = 1.0
+        panel.ravel()[flat] = True
         del flat  # freed before the next panel is allocated
         panels.append(panel)
     return panels
 
 
+def _power_entries(n: int) -> int:
+    """Entries of a power's panels, one byte each as bool."""
+    return sum(min(_TILE, n - s) * (n - s) for s in range(0, n, _TILE))
+
+
 def _panel_product(x: list, y: list) -> None:
-    """Replace x's panels by those of the boolean product (X @ Y) > 0.
+    """Replace x's bool panels by those of the boolean product X @ Y.
 
     Panel I of the product is the sum over K >= I of X's panel I, columns of
     panel K's rows, @ Y's panel K. It reads only X's panel I and Y's panels
-    K >= I, so x may be y (squaring). Each X panel of h rows enters BLAS as
+    K >= I, so x may be y (squaring). BLAS multiplies float32: panel 0
+    copies Y's panels to float32 as it takes them, and copy I is dropped
+    once panel I has used it. Each X panel of h rows enters BLAS as
     ceil(h / 2) packed rows: row r holds its own 0/1 entries times _BASE
     plus those of row r + ceil(h / 2), so every call has half the rows. An
     entry of the packed product is then hi * _BASE + lo, hi and lo the path
@@ -190,56 +205,67 @@ def _panel_product(x: list, y: list) -> None:
     after every `steps` K-steps the columns still to be summed are clamped
     back to one path per field, and no count passes _BASE - 1: every
     partial sum is an integer below _BASE^2 = 2^24, exact in float32 under
-    any summation order or blocking. Panel I is replaced by a new array as
-    soon as it is done, never written in place, since x and y may share
-    panel arrays; its scratch is what _product_scratch plans."""
+    any summation order or blocking. Panel I is replaced by a new bool
+    panel, decoded from the two fields (see _decode_fields), as soon as it
+    is done, never written in place, since x and y may share panel arrays;
+    its scratch is what _product_scratch plans."""
     if _TILE > _BASE - 2:
         raise ValueError(f"panel height {_TILE} exceeds {_BASE - 2}: "
                          f"path counts would overflow their {_BASE} base")
     steps = (_BASE - 2) // _TILE  # K-steps per count group
     base = np.float32(_BASE)
+    right = [y[0].astype(np.float32)]
     for I, xp in enumerate(x):
         h = xp.shape[0]
         m = (h + 1) // 2  # packed rows: hi field rows :m, lo field rows m:
         packed = xp[:m] * base
         packed[:h - m] += xp[m:]
-        acc = packed[:, :_TILE] @ y[I]
+        acc = packed[:, :_TILE] @ right[I]
+        right[I] = None
         for K in range(I + 1, len(y)):
+            if K == len(right):
+                right.append(y[K].astype(np.float32))
             off = (K - I) * _TILE
             if (K - I) % steps == 0:
                 _clamp_fields(acc[:, off:])
-            acc[:, off:] += packed[:, off:off + _TILE] @ y[K]
-        x[I] = _unpack(acc, packed.view(np.int32), h)
+            acc[:, off:] += packed[:, off:off + _TILE] @ right[K]
+        x[I] = _decode_fields(acc, h, packed.view(np.int32))
+        del packed, acc  # freed before the next panel's are allocated
+
+
+def _decode_fields(acc: np.ndarray, h: int, scratch: np.ndarray) -> np.ndarray:
+    """The h-row bool panel packed in acc (see _panel_product): its rows :m
+    are the hi fields, acc >= _BASE, and its rows m: the lo fields of acc's
+    first h - m rows, int32(acc) & (_BASE - 1) != 0, m = acc's rows; scratch
+    is an int32 array of acc's shape that may be overwritten."""
+    m = acc.shape[0]
+    out = np.empty((h, acc.shape[1]), dtype=bool)
+    np.greater_equal(acc, _BASE, out=out[:m])
+    lo = scratch[:h - m]
+    np.copyto(lo, acc[:h - m], casting="unsafe")
+    lo &= _BASE - 1
+    np.not_equal(lo, 0, out=out[m:])
+    return out
 
 
 def _clamp_fields(acc: np.ndarray) -> None:
     """Clamp both count fields of packed entries to at most 1, in place."""
-    hi = acc >= _BASE
-    lo = acc.astype(np.int32)
-    lo &= _BASE - 1
-    acc[...] = lo != 0
-    np.add(acc, _BASE, out=acc, where=hi)
-
-
-def _unpack(acc: np.ndarray, scratch: np.ndarray, h: int) -> np.ndarray:
-    """The h-row 0/1 float32 panel packed in acc (see _panel_product);
-    scratch is an int32 array of acc's shape that may be overwritten."""
     m = acc.shape[0]
-    out = np.empty((h, acc.shape[1]), dtype=np.float32)
-    out[:m] = acc >= _BASE
-    lo = scratch[:h - m]
-    lo[...] = acc[:h - m]
-    lo &= _BASE - 1
-    out[m:] = lo != 0
-    return out
+    fields = _decode_fields(acc, 2 * m, np.empty(acc.shape, dtype=np.int32))
+    np.multiply(fields[:m], _BASE, out=acc)
+    acc += fields[m:]
 
 
 def _product_scratch(n: int) -> int:
-    """Bytes a _panel_product holds beyond its factors, at most: for the
-    widest panel (h rows, n columns), the packed rows, their accumulator and
-    the BLAS temporary, ceil(h / 2) rows each, and the unpacked panel."""
+    """Bytes a _panel_product holds beyond its factors, at most: the float32
+    copies of the right factor's panels, either the first (h rows, n
+    columns) or all the others, since copy 0 is dropped before copy 1 is
+    made; and for that widest panel the packed rows, their accumulator and
+    the BLAS temporary, ceil(h / 2) float32 rows each, and the new bool
+    panel."""
     h = min(_TILE, n)
-    return 4 * (3 * ((h + 1) // 2) + h) * n
+    rest = _power_entries(n) - h * n
+    return 4 * max(h * n, rest) + (12 * ((h + 1) // 2) + h) * n
 
 
 def _zeros_beyond(panels: list, d: int) -> int:
@@ -247,73 +273,94 @@ def _zeros_beyond(panels: list, d: int) -> int:
     (in every panel, entry (a, b) has j - i = b - a)."""
     total = 0
     for p in panels:
-        # counted on the int32 view, where +0.0 is the only zero an entry
-        # can hold: about 10x faster than counting float32
         h = p.shape[0]
         if d == 0:  # entries left of the diagonal are 0, those on it 1
-            total += p.size - np.count_nonzero(p.view(np.int32)) - h * (h - 1) // 2
+            total += p.size - np.count_nonzero(p) - h * (h - 1) // 2
             continue
         rest = p[:, h + d:]  # more than d right of every row's diagonal
-        total += rest.size - np.count_nonzero(rest.view(np.int32))
+        total += rest.size - np.count_nonzero(rest)
         band = p[:, d + 1:h + d]  # column c is b = c + d + 1: needs c >= a
-        total += np.count_nonzero(np.triu(band == 0))
+        total += np.count_nonzero(np.triu(~band))
     return int(total)
 
 
-def _in_bits(g: RankGraph, width: int) -> np.ndarray:
-    """Columns of I + A packed into width bytes per vertex: bit m of row j
-    (byte m >> 3, bit m & 7) is set iff m == j or (m, j) is an edge, 0-based."""
-    n = g.n
-    bits = np.zeros((n, 8 * width), dtype=bool)
-    flat = bits.reshape(-1)
-    flat[np.arange(n) * (8 * width + 1)] = True
-    chunk = 1 << 17  # edges per chunk: a 1 MB intp index
-    for c in range(0, g.m, chunk):
-        at = g.edge_j[c:c + chunk].astype(np.intp)  # (j-1)*8w + (i-1)
-        at *= 8 * width
-        at += g.edge_i[c:c + chunk]
-        at -= 8 * width + 1
-        flat[at] = True
-    return np.packbits(bits, axis=1, bitorder="little")
+def _row_bytes(n: int) -> int:
+    """Bytes per vertex of the bit finish's rows and columns, whole uint64
+    words."""
+    return ((n + 63) >> 6) << 3
 
 
-def _bit_finish(g: RankGraph, panels: list, hops: int) -> np.ndarray:
+def _column_bits(panels: list, n: int) -> np.ndarray:
+    """Columns of a power given as bool panels, packed into _row_bytes(n)
+    bytes per vertex: bit m of row j (byte m >> 3, bit m & 7) is entry
+    (m, j), 0-based. Built transposed, one byte row per 8 matrix rows: the
+    panel rows at bit k of their byte are every 8th row, so each panel
+    takes 8 shifted ORs and no bool transpose."""
+    cols = np.zeros((_row_bytes(n), n), dtype=np.uint8)
+    for p, panel in enumerate(panels):
+        s = p * _TILE
+        rows = panel.view(np.uint8)
+        for k in range(8):
+            a = (k - s) % 8  # first panel row at bit k of its byte
+            sub = rows[a::8]
+            b = (s + a) >> 3
+            cols[b:b + len(sub), s:] |= sub << k
+    return np.ascontiguousarray(cols.T)
+
+
+def _finish_scratch(n: int, listed: int) -> int:
+    """Bytes a _bit_finish with `listed` missing pairs allocates, at most: the
+    power's bit rows, _row_bytes(n) per vertex; the larger of one panel's
+    scratch while it is packed (its byte-aligned copy and zero mask, the
+    panel's rows by n columns each) and one hop's row gathers (two chunks
+    and their AND); and the pair lists, at most eight intp per listed pair
+    (i and j, and a hop's connected pairs with their byte and bit
+    indices)."""
+    width, h = _row_bytes(n), min(_TILE, n)
+    chunk = min(listed, max(1, _GATHER_BYTES // (2 * width)))
+    return n * width + max(2 * h * n, 3 * chunk * width) + 64 * listed
+
+
+def _bit_finish(panels: list, cols: np.ndarray, hops: int) -> np.ndarray:
     """Rank distances j - i of the pairs that a power B^h of I + A, given as
-    panels, leaves unconnected and that `hops` more hops do not connect.
+    bool panels, leaves unconnected and that `hops` more hops do not
+    connect; cols are I + A's column bits (see _column_bits).
 
     B^h's rows are packed into bits and its zero pairs above the diagonal
-    listed; each hop tests every listed pair as rows[i] & colsB[j] against
-    I + A's column bits, then sets the row bits of the pairs it connected,
-    so the rows stay B^(h+t) after hop t. A hop that connects nothing has
-    reached the fixed point, and later hops would connect nothing either.
-    The panels are released one by one while they are packed."""
-    n = g.n
-    width = ((n + 63) >> 6) << 3  # bytes per row, whole uint64 words
+    listed; each hop tests every listed pair as rows[i] & cols[j], then sets
+    the row bits of the pairs it connected, so the rows stay B^(h+t) after
+    hop t. A hop that connects nothing has reached the fixed point, and
+    later hops would connect nothing either. The panels are released one by
+    one while they are packed; the scratch is what _finish_scratch plans."""
+    n, width = cols.shape
     rows = np.zeros((n, width), dtype=np.uint8)
-    lower = np.tri(len(panels[0]), k=-1, dtype=bool)
+    upper = ~np.tri(len(panels[0]), k=-1, dtype=bool)
     pi, pj = [], []
     for p in range(len(panels)):
         panel, panels[p] = panels[p], None
         s, h = p * _TILE, panel.shape[0]
-        lead = s & 7  # panel starts need not sit on a byte boundary
-        bits = np.zeros((h, lead + n - s), dtype=bool)
-        nonzero = bits[:, lead:]
-        np.not_equal(panel.view(np.int32), 0, out=nonzero)
-        del panel
+        lead = s & 7  # a panel start off a byte boundary is padded to one
+        if lead:
+            bits = np.zeros((h, lead + n - s), dtype=bool)
+            bits[:, lead:] = panel
+        else:
+            bits = panel
         packed = np.packbits(bits, axis=1, bitorder="little")
+        del bits
         rows[s:s + h, s >> 3:(s >> 3) + packed.shape[1]] = packed
-        nonzero[:, :h] |= lower[:h, :h]  # no pairs left of the diagonal
-        np.logical_not(nonzero, out=nonzero)
-        a, b = np.divmod(np.flatnonzero(bits), bits.shape[1])
+        zero = np.logical_not(panel)
+        del panel
+        zero[:, :h] &= upper[:h, :h]  # no pairs left of the diagonal
+        a, b = np.divmod(np.flatnonzero(zero), n - s)
         pi.append(a + s)
-        pj.append(b + (s - lead))
+        pj.append(b + s)
     i, j = np.concatenate(pi), np.concatenate(pj)
-    if i.size == 0:
-        return j - i
-    cols = _in_bits(g, width)
+    del pi, pj
     rows64, cols64 = rows.view(np.uint64), cols.view(np.uint64)
     chunk = max(1, _GATHER_BYTES // (2 * width))
     for _ in range(hops):
+        if i.size == 0:
+            break
         hit = np.concatenate([
             (rows64[i[c:c + chunk]] & cols64[j[c:c + chunk]]).any(axis=1)
             for c in range(0, i.size, chunk)])
@@ -323,8 +370,6 @@ def _bit_finish(g: RankGraph, panels: list, hops: int) -> np.ndarray:
         np.bitwise_or.at(rows, (hi, hj >> 3),
                          np.left_shift(1, hj & 7).astype(np.uint8))
         i, j = i[~hit], j[~hit]
-        if i.size == 0:
-            break
     return j - i
 
 
@@ -343,9 +388,12 @@ def _khop_missing(g: RankGraph, k: int, radii: tuple) -> list:
     n = g.n
     pairs = n * (n - 1) // 2
     kk = min(k, max(1, n - 1))  # longer straight paths cannot exist
-    matrix = 4 * sum(min(_TILE, n - s) * (n - s) for s in range(0, n, _TILE))
     powers = 1 if kk & (kk - 1) == 0 else 2
-    _check_dense(powers * matrix + _product_scratch(n),
+    # the bit finish lists at most that share of all pairs; I + A's column
+    # bits stay alive next to the powers
+    listed = int(min(1, _BIT_FINISH_SHARE) * pairs)
+    _check_dense(powers * _power_entries(n) + n * _row_bytes(n)
+                 + max(_product_scratch(n), _finish_scratch(n, listed)),
                  f"the {k}-hop engine at n={n}")
     # square-and-multiply: "sq" squares the power B^(2^t), "mul" multiplies
     # the accumulated power by it, "copy" starts the accumulated power
@@ -358,6 +406,9 @@ def _khop_missing(g: RankGraph, k: int, radii: tuple) -> list:
             break
         plan.append("sq")
     power = [_unit_panels(g), 1, pairs - g.m]  # panels, hops, zero pairs
+    # the bit finish tests against I + A's columns, packed while its panels
+    # exist; without a squaring there is no step that could finish
+    cols = _column_bits(power[0], n) if "sq" in plan else None
     acc = None
     for step in plan:
         if step == "copy":
@@ -365,7 +416,7 @@ def _khop_missing(g: RankGraph, k: int, radii: tuple) -> list:
             continue
         best = power if acc is None or power[1] >= acc[1] else acc
         if best[2] * (kk - best[1]) <= _BIT_FINISH_SHARE * pairs:
-            gaps = _bit_finish(g, best[0], kk - best[1])
+            gaps = _bit_finish(best[0], cols, kk - best[1])
             return [int(np.count_nonzero(gaps > d)) for d in radii]
         target = power if step == "sq" else acc
         _panel_product(target[0], power[0])

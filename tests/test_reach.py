@@ -14,6 +14,7 @@ from depspan.reach import (DeficiencyReport, deficiency,
                            no_two_hop_probability, straight_hops,
                            straight_reachable)
 from depspan.rng import derive_stream
+from depspan.spanners1d import four_hop_spanner
 
 
 def test_straight_reachable_hand_traces():
@@ -36,6 +37,17 @@ def test_straight_reachable_rejects_bad_vertex():
     for v in (0, 5):
         with pytest.raises(ValueError):
             straight_reachable(g, v)
+
+
+def test_out_runs_match_an_int64_probe():
+    # the int32 probe stops at rank n and appends m for rank n + 1
+    cases = (RankGraph.from_edges(1, []), RankGraph.from_edges(5, []),
+             interval_graph(9, 2),
+             filter_edges(four_hop_spanner(300, 0.5, 4.0, seed=3), 0.5,
+                          derive_stream(3, 0)))
+    for g in cases:
+        expected = np.searchsorted(g.edge_i, np.arange(g.n + 2)).tolist()
+        assert reach._out_runs(g) == expected, g
 
 
 def test_straight_hops_hand_traces():
@@ -177,14 +189,13 @@ def test_bit_finish_replaces_products_only_for_few_missing_pairs(monkeypatch):
 
 
 def _to_panels(dense: np.ndarray) -> list:
-    """An upper-triangular n x n matrix as the engine's float32 row panels."""
+    """An upper-triangular n x n 0/1 matrix as the engine's bool row panels."""
     t = reach._TILE
-    return [dense[s:s + t, s:].astype(np.float32)
-            for s in range(0, len(dense), t)]
+    return [dense[s:s + t, s:].astype(bool) for s in range(0, len(dense), t)]
 
 
 def _from_panels(panels: list, n: int) -> np.ndarray:
-    dense = np.zeros((n, n), dtype=np.float32)
+    dense = np.zeros((n, n), dtype=bool)
     for p, panel in enumerate(panels):
         s = p * reach._TILE
         dense[s:s + len(panel), s:] = panel
@@ -213,6 +224,38 @@ def test_panel_product_matches_dense_boolean_product(np_rng, monkeypatch):
             reach._panel_product(shared, yp)
             assert np.array_equal(_from_panels(shared, n), (y @ y) > 0)
             assert np.array_equal(_from_panels(yp, n), y)
+
+
+def test_column_bits_pack_the_columns(np_rng, monkeypatch):
+    # panels starting on and off byte boundaries, ragged last panels
+    for tile in _TILES + (64,):
+        monkeypatch.setattr(reach, "_TILE", tile)
+        for n in (1, 9, 70, 130):
+            dense = np.triu(np_rng.random((n, n)) < 0.3)
+            np.fill_diagonal(dense, True)
+            width = reach._row_bytes(n)
+            expected = np.zeros((n, width), dtype=np.uint8)
+            packed = np.packbits(dense.T, axis=1, bitorder="little")
+            expected[:, :packed.shape[1]] = packed
+            got = reach._column_bits(_to_panels(dense), n)
+            assert np.array_equal(got, expected), (tile, n)
+
+
+def test_decode_fields_reads_both_count_fields(monkeypatch):
+    # packed entries hi * base + lo at the field boundaries, both counts up
+    # to base - 1; each decodes to (hi > 0, lo > 0)
+    for base in sorted({b for b, _ in _PACKINGS}):
+        monkeypatch.setattr(reach, "_BASE", base)
+        values = (0, 1, base - 1, base, base + 1, 2 * base - 1,
+                  (base - 1) * base + base - 1)
+        acc = np.array([values], dtype=np.float32)
+        scratch = np.full(acc.shape, -1, dtype=np.int32)
+        out = reach._decode_fields(acc, 2, scratch)
+        assert out.dtype == bool
+        assert out.tolist() == [[v // base > 0 for v in values],
+                                [v % base > 0 for v in values]], base
+        # an odd panel height drops the last lo row
+        assert reach._decode_fields(acc, 1, scratch).tolist() == out[:1].tolist()
 
 
 def test_panel_height_above_base_fails_loudly(monkeypatch):
@@ -245,22 +288,62 @@ def test_panel_product_scratch_stays_within_plan(monkeypatch):
         assert plan / 2 < peak <= plan, (base, tile, peak, plan)
 
 
+def test_bit_finish_stays_within_plan(monkeypatch):
+    # few missing pairs (a panel's copy or the row gathers dominate) and many
+    # (the pair lists dominate), at panel heights on and off byte
+    # boundaries. The test keeps its own references to the panels, as the
+    # engine's shared "copy" panels do, so their release hides no scratch.
+    # The plan holds the pair lists at their size in a hop that connects
+    # every pair; a hop that connects few needs about two thirds of that.
+    cases = (filter_edges(complete_graph(600), 0.9, derive_stream(6, 0)),
+             filter_edges(interval_graph(600, 5), 0.7, derive_stream(6, 0)),
+             filter_edges(complete_graph(1100), 0.5, derive_stream(6, 1)))
+    for g in cases:
+        for tile in (reach._TILE, 64, 7):
+            monkeypatch.setattr(reach, "_TILE", tile)
+            for hops in (1, 3):
+                tracemalloc.start()
+                try:
+                    panels = reach._unit_panels(g)
+                    kept = list(panels)
+                    cols = reach._column_bits(panels, g.n)
+                    listed = reach._zeros_beyond(panels, 0)
+                    held = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    reach._bit_finish(panels, cols, hops)
+                    peak = tracemalloc.get_traced_memory()[1] - held
+                finally:
+                    tracemalloc.stop()
+                del kept
+                plan = reach._finish_scratch(g.n, listed)
+                assert plan / 3 < peak <= plan, (g, tile, hops, peak, plan)
+
+
 def test_khop_refuses_more_than_physical_memory(monkeypatch):
-    # n = 64 is one panel: one 64 x 64 float32 power plus one panel
-    # product's scratch for k = 2 (32 packed rows, their accumulator and
-    # BLAS temporary, and the unpacked 64-row panel), two powers for k = 3
+    # n = 64 is one panel: one 64 x 64 bool power, I + A's column bits (8
+    # bytes per vertex) and one panel product's scratch for k = 2 (the right
+    # factor's float32 copy; 32 packed rows, their accumulator and BLAS
+    # temporary; the new 64-row bool panel), two powers for k = 3. With
+    # every pair listed, the bit finish's scratch (8-byte bit rows, 2016 x 8
+    # bytes of gathers, eight intp per pair) outweighs the product's.
     g = interval_graph(64, 2)
-    scratch = 4 * (3 * 32 + 64) * 64
-    planned = {2: 64 * 64 * 4 + scratch, 3: 2 * 64 * 64 * 4 + scratch}
-    expected = {k: khop_deficiency(g, k) for k in planned}
-    for k, nbytes in planned.items():
+    power, cols = 64 * 64, 64 * 8
+    product = 4 * power + (12 * 32 + 64) * 64
+    finish = 64 * 8 + 3 * 2016 * 8 + 64 * 2016
+    planned = {(2, reach._BIT_FINISH_SHARE): power + cols + product,
+               (3, reach._BIT_FINISH_SHARE): 2 * power + cols + product,
+               (2, math.inf): power + cols + finish}
+    for (k, share), nbytes in planned.items():
+        monkeypatch.setattr(reach, "_BIT_FINISH_SHARE", share)
+        expected = khop_deficiency(g, k)
         monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes)
-        assert khop_deficiency(g, k) == expected[k]
+        assert khop_deficiency(g, k) == expected
         monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes - 1)
         with pytest.raises(ValueError, match="physical memory"):
             khop_deficiency(g, k)
         with pytest.raises(ValueError, match="physical memory"):
             khop_deficiency_split(g, k, 3)
+        monkeypatch.undo()
 
 
 def test_khop_edge_cases(monkeypatch):
