@@ -235,21 +235,23 @@ def euclidean_dependable_spanner(points: PointSet, eps: float, psi: float,
 
 def _arcs(g: RankGraph):
     """Both orientations of g's edges, grouped by head: (tail, weight, head,
-    starts, heads), where arcs starts[i]:starts[i+1] all end at heads[i]."""
+    starts, heads, into), where arcs starts[i]:starts[i+1] all end at
+    heads[i] and arcs into[v]:into[v + 1] are all the arcs into vertex v."""
     tail = np.concatenate([g.edge_i, g.edge_j]).astype(np.intp)
     head = np.concatenate([g.edge_j, g.edge_i]).astype(np.intp)
     order = np.argsort(head, kind="stable")
     tail, head = tail[order], head[order]
     w = np.concatenate([g.weights, g.weights])[order]
     starts = np.flatnonzero(np.diff(head, prepend=-1))
-    return tail, w, head, starts, head[starts]
+    into = np.searchsorted(head, np.arange(g.n + 2))
+    return tail, w, head, starts, head[starts], into
 
 
 def _full_round(d: np.ndarray, edges):
     """One Bellman round over every arc, in place: d[v] becomes the least of
     d[v] and fl(d[t] + w) over the arcs t -> v, every sum reading d from
     before the round. Returns the arcs' sums, or None if nothing changed."""
-    tail, w, head, starts, heads = edges
+    tail, w, _, starts, heads, _ = edges
     cand = d[tail]
     cand += w
     best = np.minimum.reduceat(cand, starts)
@@ -288,8 +290,8 @@ def _hop_rounds(n: int, edges, source: int, k: int, paths: bool = False):
     return d, preds
 
 
-def _open_targets(n: int, edges, into: np.ndarray, source: int, k: int,
-                  first: int, limit: np.ndarray) -> np.ndarray:
+def _open_targets(n: int, edges, source: int, k: int, first: int,
+                  limit: np.ndarray) -> np.ndarray:
     """Sorted 1-based targets v >= first whose cheapest walk from source of
     at most min(k, n - 1) edges is longer than limit[v - first].
 
@@ -299,8 +301,8 @@ def _open_targets(n: int, edges, into: np.ndarray, source: int, k: int,
     is open and stop once nothing changes, and the last round reads only the
     arcs into open targets. Every distance compared is the minimum of the
     same sums as in _hop_rounds, so the answer is exactly that of comparing
-    _hop_rounds' d. into[v]:into[v + 1] are the arcs into v."""
-    tail, w = edges[0], edges[1]
+    _hop_rounds' d."""
+    tail, w, into = edges[0], edges[1], edges[5]
     d = np.full(n + 1, np.inf)
     d[source] = 0.0
     a, b = into[source], into[source + 1]
@@ -367,11 +369,6 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
 
 
-def _arcs_into(h: GeometricGraph) -> np.ndarray:
-    """into[v]:into[v + 1] are the ids of h.arcs' arcs into vertex v."""
-    return np.searchsorted(h.arcs[2], np.arange(h.n + 2))
-
-
 def stretch_failure_row(h: GeometricGraph, u: int, eps: float,
                         k: int) -> np.ndarray:
     """Boolean vector over vertices 1..n: entry v - 1 is True where v has no
@@ -385,7 +382,7 @@ def stretch_failure_row(h: GeometricGraph, u: int, eps: float,
     coords = h.points.coords
     limit = (1.0 + eps) * np.linalg.norm(coords - coords[u - 1], axis=1)
     row = np.zeros(h.n, dtype=bool)
-    row[_open_targets(h.n, h.arcs, _arcs_into(h), u, k, 1, limit) - 1] = True
+    row[_open_targets(h.n, h.arcs, u, k, 1, limit) - 1] = True
     return row
 
 
@@ -400,9 +397,9 @@ def count_stretch_failures(h: GeometricGraph, points: PointSet, eps: float,
         raise ValueError("point set does not match the graph")
     _check_eps(eps)
     _check_query(h, 1, 1, k)
-    n, edges, into, coords = h.n, h.arcs, _arcs_into(h), h.points.coords
+    n, edges, coords = h.n, h.arcs, h.points.coords
     total = 0
     for u in range(1, n):
         limit = (1.0 + eps) * np.linalg.norm(coords[u:] - coords[u - 1], axis=1)
-        total += _open_targets(n, edges, into, u, k, u + 1, limit).size
+        total += _open_targets(n, edges, u, k, u + 1, limit).size
     return total

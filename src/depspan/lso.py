@@ -6,8 +6,10 @@ fixed point, and split into base-G digits (G cells per axis per level, G a
 power of two). The d per-axis digits at each level form a cell index in
 [0, G^d), which is mapped through a Hamiltonian-path order of the complete
 graph on the cells; orders compare lexicographically by the mapped digit
-sequence. One family member uses the identity cell order (for d = 1 this is
-the natural coordinate order); the rest enumerate
+sequence, packed a few levels to an int64 key row (_sort_keys), the one key
+the sort, compare_points and the witness all read. One family member uses
+the identity cell order (for d = 1 this is the natural coordinate order);
+the rest enumerate
 
     shift index  s in 0..m-1     diagonal shift s/m, m odd so grid lines of
                                  every scale move,
@@ -129,45 +131,42 @@ def _fixed_point(coords: np.ndarray, shift) -> np.ndarray:
     return np.floor((coords + shift) * float(1 << _FRAC_BITS)).astype(np.uint64)
 
 
-def _key_matrix(ordering: Ordering, coords: np.ndarray) -> np.ndarray:
-    """(n, levels) int64 sort keys; row-lex order is the ordering."""
-    y = _fixed_point(coords, ordering.shift_index / ordering.shift_count)
-    h = ordering.grid.bit_length() - 1
-    pos = _low_bit(ordering.offset, h, np.arange(ordering.levels))
-    cells = _cells(y, ordering.grid, pos[:, None])  # (levels, n)
-    return _walecki_positions(cells, ordering.path, ordering.grid ** ordering.dim).T
-
-
-def _packed_keys(ordering: Ordering, coords: np.ndarray) -> list:
-    """The sort keys as few int64 columns, most significant first: a level
-    key is below G^d, d log2(G) bits, so each column holds
-    floor(63 / (d log2 G)) consecutive levels, the earliest in the highest
-    bits."""
-    bits = ordering.dim * (ordering.grid.bit_length() - 1)
+def _sort_keys(o: Ordering, coords: np.ndarray) -> np.ndarray:
+    """(c, n) int64 sort keys, most significant row first; column-lex order
+    is the ordering. A level key is below G^d, b = d log2(G) bits, so each
+    row packs floor(63 / b) consecutive levels, the earliest in the highest
+    bits, and zero fields pad the last row. Every point gets the same
+    padding, so packing changes no comparison."""
+    y = _fixed_point(coords, o.shift_index / o.shift_count)
+    h = o.grid.bit_length() - 1
+    bits = o.dim * h
     per = 63 // bits
-    keys = _key_matrix(ordering, coords).T  # (levels, n)
-    cols = []
-    for start in range(0, len(keys), per):
-        col = keys[start].copy()
-        for row in keys[start + 1:start + per]:
-            col <<= bits
-            col |= row
-        cols.append(col)
-    return cols
+    pos = _low_bit(o.offset, h, np.arange(o.levels))
+    cells = _cells(y, o.grid, pos[:, None])  # (levels, n)
+    keys = _walecki_positions(cells, o.path, o.grid ** o.dim)
+    # field j of every row at once: 5x faster at n=4096 than one
+    # bitwise_or.reduceat over variably shifted levels
+    packed = keys[::per].copy()
+    for j in range(1, per):
+        packed <<= bits
+        field = keys[j::per]
+        packed[:len(field)] |= field
+    return packed
 
 
 def _sort_indices(o: Ordering, coords: np.ndarray) -> np.ndarray:
     """OrderingFamily.sort_indices on (n, d) float64 coordinates in [0, 1)
     that are already checked, as a PointSet's are."""
-    return np.lexsort((*coords.T[::-1], *_packed_keys(o, coords)[::-1]))
+    return np.lexsort((*coords.T[::-1], *_sort_keys(o, coords)[::-1]))
 
 
 def _lex_sign(keys: np.ndarray, coords: np.ndarray, ref: int) -> np.ndarray:
-    """-1/0/+1 of every row against row `ref`, comparing digit keys first
-    (exactly, as integers) and raw coordinates as the final tiebreak."""
-    signs = np.concatenate([np.sign(keys - keys[ref]),
-                            np.sign(coords - coords[ref]).astype(np.int64)], axis=1)
-    return signs[np.arange(signs.shape[0]), np.argmax(signs != 0, axis=1)]
+    """-1/0/+1 of every point against point `ref`, comparing their
+    _sort_keys columns row by row first (exactly, as integers) and raw
+    coordinates as the final tiebreak."""
+    signs = np.concatenate([np.sign(keys - keys[:, ref, None]),
+                            np.sign(coords.T - coords[ref, :, None]).astype(np.int64)])
+    return signs[np.argmax(signs != 0, axis=0), np.arange(signs.shape[1])]
 
 
 class OrderingFamily:
@@ -252,7 +251,7 @@ def compare_points(o: Ordering, p, q) -> int:
     to plain lexicographic coordinate comparison.
     """
     pq = _as_coords(np.asarray([p, q], dtype=np.float64), o.dim)
-    return int(_lex_sign(_key_matrix(o, pq), pq, 1)[0])
+    return int(_lex_sign(_sort_keys(o, pq), pq, 1)[0])
 
 
 def locality_witness(fam: OrderingFamily, points, u, v):
@@ -296,7 +295,7 @@ def locality_witness(fam: OrderingFamily, points, u, v):
         margin = np.full(ids.size, math.inf)
     # identity order first: qualifies whenever nothing sits between
     for oid in [0, *ids[np.lexsort((ids, margin))].tolist()]:
-        keys = _key_matrix(fam.ordering(oid), coords)
+        keys = _sort_keys(fam.ordering(oid), coords)
         # strictly after one endpoint and before the other
         between = _lex_sign(keys, coords, iu[0]) * _lex_sign(keys, coords, iv[0]) < 0
         if not between.any():

@@ -218,7 +218,8 @@ def _gate(d, eps, n, pairs, seed):
     return hits
 
 
-@pytest.mark.parametrize("d,eps", [(1, 0.5), (1, 0.25), (2, 0.5), (2, 0.25)])
+@pytest.mark.parametrize("d,eps", [(1, 0.5), (1, 0.25), (2, 0.5), (2, 0.25),
+                                     (3, 0.5), (3, 0.25)])
 def test_witness_gate_sampled(d, eps):
     # fast version of the acceptance gate; the full 10^4-pair run lives in
     # the acceptance suite
@@ -263,6 +264,10 @@ _LSO_GOLDEN = {
                 "b5f1a64fecbd7e5d65d5772f9a72a26f5e6a78ddc0434f6f6d2a59201996c6ea"),
     (2, 1 / 32): ("7e0cc6844aba7938692e75866b1762b5eb963c9ba68c3800b6be9cc833e7ae17",
                   "1d3f0ae59cc3ca253605a54f6fc64743151fce2068e2b9dd30c9fb731dbaef86"),
+    (3, 0.5): ("88a69646012b40811c291024525509f5ac11c22be11d6842d1a026d49d89d8b5",
+               "7feb8d4251bdb731bd9f97605bc365602a5f5939a56c07a03a260b94eb5d24c7"),
+    (3, 1 / 32): ("a98900d4a6c358fd4e224c96dd668b77f1e4307651110e8160943c8dc40e7266",
+                  "1e9e70ed9a8dbc61fa87817e57f68acdf60b591aeb4a22012b58087671b6d17b"),
 }
 
 

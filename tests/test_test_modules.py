@@ -112,3 +112,37 @@ def test_no_module_fans_out_over_threads_or_processes():
             found += [(path.name, n) for n in names
                       if n.split(".")[0] in banned]
     assert found == [], found
+
+
+def _orphans(sources: dict) -> list:
+    """(module, name) of each private top-level def or class in the module
+    texts `sources` that no other top-level statement of any of them names,
+    as a Name, an Attribute or an imported alias."""
+    refs, private = [], []
+    for module, text in sources.items():
+        for top in ast.parse(text, module).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            refs.append((top, names))
+            name = getattr(top, "name", "")
+            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and name.startswith("_") and not name.endswith("__")):
+                private.append((module, top))
+    return [(module, top.name) for module, top in private
+            if not any(top.name in names for other, names in refs if other is not top)]
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a simplification that replaces a helper must delete the old one too;
+    # an orphan would live on, still tested, while the package never runs it
+    src = Path(depspan.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert _orphans(sources) == []
+    sources["lso.py"] += "\n\ndef _helper():\n    return _helper()\n"
+    assert _orphans(sources) == [("lso.py", "_helper")]
