@@ -12,13 +12,17 @@ single forward sweep. Two exact engines back the pair counts:
 * hop-bounded reachability: boolean powers of I + A by square-and-multiply,
   stored as bool row panels that each hold their rows from the diagonal
   rightwards, and multiplied in place, panel by panel, with BLAS, for every
-  n. Only the product sees float32: it copies the right factor's panels to
-  float32 as it first takes them, and the left factor enters BLAS with two
-  0/1 rows packed into one, a + 4096 * b, so each call has half the rows;
-  path counts stay below 4096 per field (clamped back to 1 between K-steps
-  where they could pass it), so every sum is an integer below 2^24 and
-  exact in float32, and each finished accumulator is decoded straight into
-  a new bool panel. Before each product the engine counts the pairs its
+  n. A product skips what adds nothing: the K-steps whose left tile is all
+  zero, and the all-zero column tiles of the right panel, so each K-step
+  makes one BLAS call per run of nonzero column tiles (a banded factor
+  with a sparse block hierarchy, like a four-hop spanner's, has many zero
+  tiles). Only the product sees float32: it copies a right panel to
+  float32 when a K-step first needs it, and the left factor enters BLAS
+  with two 0/1 rows packed into one, a + 4096 * b, so each call has half
+  the rows; path counts stay below 4096 per field (clamped back to 1 after
+  every so many performed K-steps), so every sum is an integer below 2^24
+  and exact in float32, and each finished accumulator is decoded straight
+  into a new bool panel. Before each product the engine counts the pairs its
   most advanced power B^h still misses. Once those, times the k - h hops
   still to take, are at most 1/64 of all pairs, it lists them, packs B^h's
   bool rows into bits and settles them hop by hop with bit tests against
@@ -194,15 +198,20 @@ def _panel_product(x: list, y: list) -> None:
     """Replace x's bool panels by those of the boolean product X @ Y.
 
     Panel I of the product is the sum over K >= I of X's panel I, columns of
-    panel K's rows, @ Y's panel K. It reads only X's panel I and Y's panels
-    K >= I, so x may be y (squaring). BLAS multiplies float32: panel 0
-    copies Y's panels to float32 as it takes them, and copy I is dropped
-    once panel I has used it. Each X panel of h rows enters BLAS as
-    ceil(h / 2) packed rows: row r holds its own 0/1 entries times _BASE
-    plus those of row r + ceil(h / 2), so every call has half the rows. An
-    entry of the packed product is then hi * _BASE + lo, hi and lo the path
-    counts of the two rows. Each K-step adds at most _TILE to a count, so
-    after every `steps` K-steps the columns still to be summed are clamped
+    panel K's rows (X's tile (I, K)), @ Y's panel K. It reads only X's panel
+    I and Y's panels K >= I, so x may be y (squaring). Work that adds
+    nothing is skipped: a K-step K > I whose X tile is all zero is not
+    taken, and a K-step multiplies only the runs of Y's panel K's nonzero
+    column tiles (_TILE columns each), one BLAS call per run. Every panel's
+    tile occupancy is read before the product, once for a panel x shares
+    with y. BLAS multiplies float32: Y's panel K is copied to float32 when a
+    K-step first needs it, and copy I is dropped once panel I has used it.
+    Each X panel of h rows enters BLAS as ceil(h / 2) packed rows: row r
+    holds its own 0/1 entries times _BASE plus those of row r + ceil(h / 2),
+    so every call has half the rows. An entry of the packed product is then
+    hi * _BASE + lo, hi and lo the path counts of the two rows. Each K-step
+    adds at most _TILE to a count, and a skipped one adds 0, so after every
+    `steps` performed K-steps the columns still to be summed are clamped
     back to one path per field, and no count passes _BASE - 1: every
     partial sum is an integer below _BASE^2 = 2^24, exact in float32 under
     any summation order or blocking. Panel I is replaced by a new bool
@@ -212,25 +221,58 @@ def _panel_product(x: list, y: list) -> None:
     if _TILE > _BASE - 2:
         raise ValueError(f"panel height {_TILE} exceeds {_BASE - 2}: "
                          f"path counts would overflow their {_BASE} base")
-    steps = (_BASE - 2) // _TILE  # K-steps per count group
+    steps = (_BASE - 2) // _TILE  # performed K-steps per count group
     base = np.float32(_BASE)
-    right = [y[0].astype(np.float32)]
+    y_tiles = [_occupied_tiles(p) for p in y]
+    x_tiles = [y_tiles[I] if p is y[I] else _occupied_tiles(p)
+               for I, p in enumerate(x)]
+    runs = [_tile_runs(t, p.shape[1]) for t, p in zip(y_tiles, y)]
+    right = [None] * len(y)
     for I, xp in enumerate(x):
         h = xp.shape[0]
         m = (h + 1) // 2  # packed rows: hi field rows :m, lo field rows m:
         packed = xp[:m] * base
         packed[:h - m] += xp[m:]
+        if right[I] is None:
+            right[I] = y[I].astype(np.float32)
         acc = packed[:, :_TILE] @ right[I]
         right[I] = None
+        done = 1  # K-steps performed since the last clamp
+        occupied = x_tiles[I]
         for K in range(I + 1, len(y)):
-            if K == len(right):
-                right.append(y[K].astype(np.float32))
+            if not (occupied[K - I] and runs[K]):
+                continue
+            if right[K] is None:
+                right[K] = y[K].astype(np.float32)
             off = (K - I) * _TILE
-            if (K - I) % steps == 0:
+            if done == steps:
                 _clamp_fields(acc[:, off:])
-            acc[:, off:] += packed[:, off:off + _TILE] @ right[K]
+                done = 0
+            done += 1
+            left = packed[:, off:off + _TILE]
+            for a, b in runs[K]:
+                acc[:, off + a:off + b] += left @ right[K][:, a:b]
         x[I] = _decode_fields(acc, h, packed.view(np.int32))
         del packed, acc  # freed before the next panel's are allocated
+
+
+def _occupied_tiles(panel: np.ndarray) -> list:
+    """For each column tile of a panel, _TILE columns from its first, whether
+    it holds a nonzero entry."""
+    starts = np.arange(0, panel.shape[1], _TILE)
+    return np.logical_or.reduceat(panel.any(axis=0), starts).tolist()
+
+
+def _tile_runs(occupied: list, width: int) -> list:
+    """Column bounds (a, b) of the runs of occupied tiles in a panel of
+    `width` columns, in order."""
+    runs, t = [], 0
+    for full, group in itertools.groupby(occupied):
+        u = t + len(list(group))
+        if full:
+            runs.append((t * _TILE, min(u * _TILE, width)))
+        t = u
+    return runs
 
 
 def _decode_fields(acc: np.ndarray, h: int, scratch: np.ndarray) -> np.ndarray:
@@ -259,10 +301,12 @@ def _clamp_fields(acc: np.ndarray) -> None:
 def _product_scratch(n: int) -> int:
     """Bytes a _panel_product holds beyond its factors, at most: the float32
     copies of the right factor's panels, either the first (h rows, n
-    columns) or all the others, since copy 0 is dropped before copy 1 is
-    made; and for that widest panel the packed rows, their accumulator and
-    the BLAS temporary, ceil(h / 2) float32 rows each, and the new bool
-    panel."""
+    columns) or at most all the others, since copy 0 is made first and
+    dropped before any other is made (the others only when a K-step first
+    needs them, so a factor with zero tiles may hold fewer); and for that
+    widest panel the packed rows, their accumulator and the BLAS temporary,
+    ceil(h / 2) float32 rows each, and the new bool panel. The tile
+    occupancy is read before any of these exist, in n bytes at most."""
     h = min(_TILE, n)
     rest = _power_entries(n) - h * n
     return 4 * max(h * n, rest) + (12 * ((h + 1) // 2) + h) * n
@@ -313,12 +357,12 @@ def _finish_scratch(n: int, listed: int) -> int:
     power's bit rows, _row_bytes(n) per vertex; the larger of one panel's
     scratch while it is packed (its byte-aligned copy and zero mask, the
     panel's rows by n columns each) and one hop's row gathers (two chunks
-    and their AND); and the pair lists, at most eight intp per listed pair
-    (i and j, and a hop's connected pairs with their byte and bit
-    indices)."""
+    and their AND); and the pair lists, at most eight int32 per listed pair
+    (i and j, and a hop's connected pairs with their byte and bit indices
+    and bit values)."""
     width, h = _row_bytes(n), min(_TILE, n)
     chunk = min(listed, max(1, _GATHER_BYTES // (2 * width)))
-    return n * width + max(2 * h * n, 3 * chunk * width) + 64 * listed
+    return n * width + max(2 * h * n, 3 * chunk * width) + 32 * listed
 
 
 def _bit_finish(panels: list, cols: np.ndarray, hops: int) -> np.ndarray:
@@ -352,8 +396,11 @@ def _bit_finish(panels: list, cols: np.ndarray, hops: int) -> np.ndarray:
         del panel
         zero[:, :h] &= upper[:h, :h]  # no pairs left of the diagonal
         a, b = np.divmod(np.flatnonzero(zero), n - s)
-        pi.append(a + s)
-        pj.append(b + s)
+        del zero
+        # ranks are below 2^31: int32 halves the pair lists
+        pi.append(np.add(a, s, dtype=np.int32))
+        pj.append(np.add(b, s, dtype=np.int32))
+        del a, b
     i, j = np.concatenate(pi), np.concatenate(pj)
     del pi, pj
     rows64, cols64 = rows.view(np.uint64), cols.view(np.uint64)

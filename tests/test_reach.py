@@ -226,6 +226,67 @@ def test_panel_product_matches_dense_boolean_product(np_rng, monkeypatch):
             assert np.array_equal(_from_panels(yp, n), y)
 
 
+def _band_and_far_tiles(n: int, rng) -> np.ndarray:
+    """An upper-triangular 0/1 matrix shaped like a four-hop spanner's I + A
+    at panel height t = _TILE: a full band of radius 3t, whose path counts
+    pass the small bases, and four random t x t tiles at least five tiles
+    right of their panel's diagonal tile. Tile p + 4 of every panel p is
+    then zero, and a panel with a far tile has two runs of nonzero column
+    tiles. Needs n > 5t."""
+    t = reach._TILE
+    dense = np.triu(np.tri(n, k=3 * t, dtype=bool))
+    tiles = -(-n // t)
+    for _ in range(4):
+        p = rng.integers(0, tiles - 5)
+        q = rng.integers(p + 5, tiles)
+        block = dense[p * t:(p + 1) * t, q * t:(q + 1) * t]
+        block |= rng.random(block.shape) < 0.7
+    return dense
+
+
+def test_panel_product_skips_zero_tiles_exactly(np_rng, monkeypatch):
+    # the product skips K-steps on all-zero X tiles and multiplies only the
+    # runs of Y's nonzero column tiles; at the small bases the skipped steps
+    # move the clamps, which must still come before a count reaches the base
+    for base, tile in _PACKINGS:
+        monkeypatch.setattr(reach, "_BASE", base)
+        monkeypatch.setattr(reach, "_TILE", tile)
+        n = tile * (6 if tile > 64 else 12) + (tile + 1) // 2
+        x = _band_and_far_tiles(n, np_rng)
+        y = _band_and_far_tiles(n, np_rng)
+        expected = (x.astype(np.float32) @ y) > 0
+        square = (y.astype(np.float32) @ y) > 0
+        xp, yp = _to_panels(x), _to_panels(y)
+        reach._panel_product(xp, yp)
+        assert np.array_equal(_from_panels(xp, n), expected), (base, tile)
+        assert np.array_equal(_from_panels(yp, n), y)
+        shared = list(yp)  # x sharing y's panel arrays
+        reach._panel_product(shared, yp)
+        assert np.array_equal(_from_panels(shared, n), square), (base, tile)
+        assert np.array_equal(_from_panels(yp, n), y)
+        reach._panel_product(yp, yp)
+        assert np.array_equal(_from_panels(yp, n), square), (base, tile)
+
+
+def test_khop_on_a_spanner_with_zero_tiles_matches_brute_force(monkeypatch):
+    # a small four-hop spanner whose band (radius 48) leaves whole tiles of
+    # I + A zero at panel heights 8 and 16, and whose connectors split some
+    # panels' nonzero column tiles into several runs
+    g = filter_edges(four_hop_spanner(300, 0.5, 0.5, seed=3), 0.5,
+                     derive_stream(3, 0))
+    hops = {i: straight_hops(g, i)[i + 1:] for i in range(1, g.n + 1)}
+    for tile in (8, 16):
+        monkeypatch.setattr(reach, "_TILE", tile)
+        runs = [reach._tile_runs(reach._occupied_tiles(p), p.shape[1])
+                for p in reach._unit_panels(g)]
+        assert max(len(r) for r in runs) > 1, tile
+        for k in (2, 3, 4, 5):
+            expected = sum(int((h > k).sum()) for h in hops.values())
+            for share in (0.0, reach._BIT_FINISH_SHARE):
+                monkeypatch.setattr(reach, "_BIT_FINISH_SHARE", share)
+                assert khop_deficiency(g, k) == expected, (tile, k, share)
+
+
 def test_column_bits_pack_the_columns(np_rng, monkeypatch):
     # panels starting on and off byte boundaries, ragged last panels
     for tile in _TILES + (64,):
@@ -325,11 +386,11 @@ def test_khop_refuses_more_than_physical_memory(monkeypatch):
     # factor's float32 copy; 32 packed rows, their accumulator and BLAS
     # temporary; the new 64-row bool panel), two powers for k = 3. With
     # every pair listed, the bit finish's scratch (8-byte bit rows, 2016 x 8
-    # bytes of gathers, eight intp per pair) outweighs the product's.
+    # bytes of gathers, eight int32 per pair) outweighs the product's.
     g = interval_graph(64, 2)
     power, cols = 64 * 64, 64 * 8
     product = 4 * power + (12 * 32 + 64) * 64
-    finish = 64 * 8 + 3 * 2016 * 8 + 64 * 2016
+    finish = 64 * 8 + 3 * 2016 * 8 + 32 * 2016
     planned = {(2, reach._BIT_FINISH_SHARE): power + cols + product,
                (3, reach._BIT_FINISH_SHARE): 2 * power + cols + product,
                (2, math.inf): power + cols + finish}
