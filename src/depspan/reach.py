@@ -132,6 +132,12 @@ def straight_hops(g: RankGraph, source: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bitset closure engine (a set of sources at once)
 
+def _closure_bytes(n: int, s: int) -> int:
+    """Planned bytes of one closure over s sources: n + 1 rows of
+    ceil(s / 64) words."""
+    return (n + 1) * ((s + 63) >> 6) * 8
+
+
 def _closure_missing(g: RankGraph, sources: np.ndarray) -> int:
     """Number of pairs (src, j > src), src in the sorted `sources`, joined by
     no straight path src < ... < j.
@@ -142,7 +148,7 @@ def _closure_missing(g: RankGraph, sources: np.ndarray) -> int:
     """
     s = sources.size
     words = (s + 63) >> 6
-    _check_dense((g.n + 1) * words * 8, f"the closure at n={g.n}, s={s}")
+    _check_dense(_closure_bytes(g.n, s), f"the closure at n={g.n}, s={s}")
     rows = np.zeros((g.n + 1, words), dtype=np.uint64)
     bit = np.arange(s)
     rows[sources, bit >> 6] = _ONE << (bit & 63).astype(np.uint64)
@@ -552,15 +558,67 @@ class DeficiencyReport:
                 f"{self.mean_failed_pairs:.12g},{self.stderr:.12g},{self.seed}")
 
 
+def _trial(g: RankGraph, psi: float, master: int, t: int):
+    """Trial t: the failed graph filter_edges(g, psi, stream) and the stream
+    it was drawn from, stream = derive_stream(master, t), for any further
+    draw of trial t."""
+    stream = derive_stream(master, t)
+    return filter_edges(g, psi, stream), stream
+
+
 def failure_trials(g: RankGraph, psi: float, trials: int, master: int):
-    """The one trial loop: for t in 0..trials-1, in order, yield the failed
-    graph filter_edges(g, psi, stream) and the stream it was drawn from,
-    stream = derive_stream(master, t), for any further draw of trial t.
-    Consume it with itertools.starmap, which drops a trial before drawing
-    the next; a for loop would hold two failed graphs at once."""
+    """The one trial loop: yield _trial(g, psi, master, t) for t in
+    0..trials-1, in order. Consume it with itertools.starmap, which drops a
+    trial before drawing the next; a for loop would hold two failed graphs
+    at once."""
     for t in range(trials):
-        stream = derive_stream(master, t)
-        yield filter_edges(g, psi, stream), stream
+        yield _trial(g, psi, master, t)
+
+
+def _unbounded_count(h: RankGraph, stream, sample: int | None):
+    """The failed pairs of h: exact over all sources when sample is None,
+    else over `sample` < n sources that stream draws, scaled by
+    n / sample (unbiased)."""
+    if sample is None:
+        return deficiency(h)
+    sources = np.sort(stream.choice_without_replacement(h.n, sample) + 1)
+    return _closure_missing(h, sources) * h.n / sample
+
+
+# What a pool worker of monte_carlo_deficiency counts: (g, psi, master,
+# sample), set once per worker process by _start_worker.
+_worker_args: tuple = ()
+
+
+def _start_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_count(t: int):
+    g, psi, master, sample = _worker_args
+    return _unbounded_count(*_trial(g, psi, master, t), sample)
+
+
+def _pooled_counts(g: RankGraph, psi: float, trials: int, master: int,
+                   sample: int | None, workers: int) -> list:
+    """The unbounded counts of trials 0..trials-1, in trial order, from
+    `workers` forked processes. Fork, not spawn: the workers inherit g and
+    the imported numpy instead of importing and unpickling them, and the
+    closure engine calls no BLAS, so no BLAS thread pool is used after the
+    fork. The concurrent closures' plans are checked against physical
+    memory before any process starts."""
+    s = g.n if sample is None else sample
+    _check_dense(workers * _closure_bytes(g.n, s),
+                 f"{workers} concurrent closures at n={g.n}, s={s}")
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    # on an error, leaving the with block terminates and reaps the workers
+    with ctx.Pool(workers, _start_worker, (g, psi, master, sample)) as pool:
+        counts = pool.map(_worker_count, range(trials))
+        pool.close()
+        pool.join()
+    return counts
 
 
 def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
@@ -569,13 +627,21 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
                            source_sample: int | None = None) -> DeficiencyReport:
     """Estimate the expected deficiency of g under survival rate psi.
 
-    Trial t is filter_edges(g, psi, derive_stream(master, t)), drawn by
-    failure_trials, followed by the exact failed-pair count of the filtered
-    graph, unless source_sample < n: then the same stream draws that many
-    sources afterwards, and the count over them is scaled by
-    n / source_sample (unbiased). Trials run in order, so the report is a
-    pure function of the arguments. `jobs` is validated (>= 1) and
-    otherwise ignored.
+    Trial t is filter_edges(g, psi, derive_stream(master, t)) (see _trial),
+    followed by the exact failed-pair count of the filtered graph, unless
+    source_sample < n: then the same stream draws that many sources
+    afterwards, and the count over them is scaled by n / source_sample
+    (unbiased). Every trial draws only from its own stream and the counts
+    are kept in trial order, so the report is a pure function of the
+    arguments and the same for every `jobs`.
+
+    With jobs > 1, unbounded counts run on min(jobs, trials) forked worker
+    processes, checked first against physical memory as that many
+    concurrent closures; on 2 cores, 32 trials on a filtered four-hop
+    spanner at n=1024 took 211 instead of 350 ms. Hop-bounded counts
+    always run in order in this process: their BLAS products already use
+    every core, and two forked workers each running BLAS threads took 605
+    against 353 ms in order (k=4, 24 trials).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -592,15 +658,16 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     n = g.n
-    sampled = source_sample is not None and source_sample < n
+    sample = None if source_sample is None or source_sample >= n else source_sample
+    workers = min(jobs, trials)
+    if hop_bound is None and workers > 1:
+        counts = _pooled_counts(g, psi, trials, master, sample, workers)
+    else:
+        def count(h: RankGraph, stream):
+            if hop_bound is not None:
+                return khop_deficiency(h, hop_bound)
+            return _unbounded_count(h, stream, sample)
 
-    def count(h: RankGraph, stream) -> float:
-        if hop_bound is not None:
-            return khop_deficiency(h, hop_bound)
-        if not sampled:
-            return deficiency(h)
-        sources = np.sort(stream.choice_without_replacement(n, source_sample) + 1)
-        return _closure_missing(h, sources) * n / source_sample
-
-    counts = list(itertools.starmap(count, failure_trials(g, psi, trials, master)))
+        counts = list(itertools.starmap(
+            count, failure_trials(g, psi, trials, master)))
     return DeficiencyReport.from_counts(n, psi, hop_bound, master, counts)

@@ -96,7 +96,7 @@ def test_filter_then_deficiency_pipeline(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "n,psi,hop_bound,trials,mean,stderr,seed"
 
-    # --jobs is accepted and changes nothing: the rows equal the in-process
+    # --jobs is accepted and changes no row: the rows equal the in-process
     # report's, in every Monte Carlo mode
     k64 = complete_graph(64)
     for extra, kw in (([], {}), (["--hops", "4"], {"hop_bound": 4}),

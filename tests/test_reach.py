@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -519,11 +521,50 @@ def test_khop_memory_stays_below_one_and_a_half_dense_matrices(monkeypatch):
             assert peak < 1.5 * g.n * g.n * 4, (g, k, peak)
 
 
-def test_monte_carlo_deterministic_and_thread_invariant():
+def _no_processes(method=None):
+    raise AssertionError("a process was started")
+
+
+def test_monte_carlo_deterministic_and_thread_invariant(monkeypatch):
+    # hop-bounded trials run in order in this process whatever jobs says
     g = complete_graph(60)
     a = monte_carlo_deficiency(g, 0.4, 8, hop_bound=2, master=17, jobs=1)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_processes)
     b = monte_carlo_deficiency(g, 0.4, 8, hop_bound=2, master=17, jobs=3)
     assert a == b
+
+
+def test_monte_carlo_pool_gives_the_in_order_report(monkeypatch):
+    # unbounded trials on min(jobs, trials) forked workers: the counts come
+    # back in trial order, so the report is the same for every jobs, and
+    # every worker is reaped before the call returns
+    g = filter_edges(four_hop_spanner(256, 0.5, 4.0, seed=5), 0.8,
+                     derive_stream(5, 0))
+    trials = 5
+    pooled = []
+    real = reach._pooled_counts
+    monkeypatch.setattr(reach, "_pooled_counts",
+                        lambda *args: pooled.append(args[-1]) or real(*args))
+    for kw in ({}, {"source_sample": 40}):
+        want = monte_carlo_deficiency(g, 0.6, trials, master=11, **kw)
+        assert want.mean_failed_pairs > 0
+        for jobs in (2, 3, trials + 2):
+            rep = monte_carlo_deficiency(g, 0.6, trials, master=11,
+                                         jobs=jobs, **kw)
+            assert rep == want, (kw, jobs)
+            assert multiprocessing.active_children() == []
+    assert pooled == [2, 3, trials] * 2
+
+
+def test_monte_carlo_pool_passes_worker_errors_on(monkeypatch):
+    def fail(h):
+        raise ValueError(f"trial failed in process {os.getpid()}")
+
+    monkeypatch.setattr(reach, "deficiency", fail)
+    with pytest.raises(ValueError, match="trial failed in process") as err:
+        monte_carlo_deficiency(interval_graph(40, 5), 0.5, 4, jobs=2)
+    assert int(str(err.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
 
 
 def _sampled_recount(g, psi, trials, master, s):
@@ -578,6 +619,24 @@ def test_closure_refuses_more_than_physical_memory(monkeypatch):
         monkeypatch.setattr(graphs, "_physical_memory", lambda: nbytes - 1)
         with pytest.raises(ValueError, match="physical memory"):
             count()
+
+
+def test_pool_refuses_concurrent_closures_beyond_physical_memory(monkeypatch):
+    # min(jobs, trials) closures are alive at once: two of 151 * 3 * 8 bytes
+    # over all 150 sources, two of 151 * 2 * 8 over a sample of 100. One
+    # byte less refuses the pool before any process starts, where one
+    # closure in order still fits.
+    g = interval_graph(150, 10)
+    for one, kw in ((151 * 3 * 8, {}), (151 * 2 * 8, {"source_sample": 100})):
+        want = monte_carlo_deficiency(g, 0.5, 3, master=3, **kw)
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: 2 * one)
+        assert monte_carlo_deficiency(g, 0.5, 3, master=3, jobs=2, **kw) == want
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: 2 * one - 1)
+        assert monte_carlo_deficiency(g, 0.5, 3, master=3, **kw) == want
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing, "get_context", _no_processes)
+            with pytest.raises(ValueError, match="2 concurrent closures"):
+                monte_carlo_deficiency(g, 0.5, 3, master=3, jobs=2, **kw)
 
 
 def test_monte_carlo_validation():
