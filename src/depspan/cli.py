@@ -105,7 +105,7 @@ def _cmd_deficiency(args) -> int:
         print(count)
         return 0
     rep = monte_carlo_deficiency(g, args.psi, args.trials, hop_bound=args.hops,
-                                 master=args.seed, jobs=args.jobs,
+                                 master=args.seed,
                                  source_sample=args.source_samples)
     print(rep.CSV_HEADER)
     print(rep.csv_row())
@@ -266,11 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
              psi=dict(type=float, default=None,
                       help="if given, Monte Carlo under edge survival psi"),
              jobs=dict(type=int, default=1,
-                       help="worker processes for unbounded Monte Carlo "
-                            "trials (2 on 2 cores: 1.66x the trials per "
-                            "second); hop-bounded trials run in order, as "
-                            "their BLAS products use every core; the output "
-                            "is the same for any value"))
+                       help="validated (>= 1) and ignored; large unbounded "
+                            "Monte Carlo runs use every usable core on their "
+                            "own"))
     _command(sub, "verify-stretch", "count bounded-hop (1+eps)-stretch failures",
              _cmd_verify_stretch, "graph points eps hops check",
              hops=dict(type=int, required=True))

@@ -43,10 +43,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .graphs import RankGraph, _check_dense, filter_edges
 from .rng import derive_stream
 
@@ -600,18 +602,43 @@ def _worker_count(t: int):
     return _unbounded_count(*_trial(g, psi, master, t), sample)
 
 
+# Below this many ranks swept, n * trials, a pool's start-up costs more than
+# it saves. The closure's sweep spends at least about 3 us per rank and
+# trial (the path graph, one edge per rank), so 2^14 is at least about 50 ms
+# of trials in order, against 12-20 ms to fork, feed and join two workers
+# (2 cores). On the path graph, 2 workers ran n=1024 x 16 trials at 0.97x
+# the in-order speed and n=2048 x 16 at 1.2-1.3x; denser graphs gain more
+# (the four-hop spanner at n=1024, 16 trials: 1.5x, 2.0x with 16 sampled
+# sources).
+_POOL_MIN_RANK_TRIALS = 1 << 14
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pooled_counts(g: RankGraph, psi: float, trials: int, master: int,
-                   sample: int | None, workers: int) -> list:
-    """The unbounded counts of trials 0..trials-1, in trial order, from
-    `workers` forked processes. Fork, not spawn: the workers inherit g and
-    the imported numpy instead of importing and unpickling them, and the
-    closure engine calls no BLAS, so no BLAS thread pool is used after the
-    fork. The concurrent closures' plans are checked against physical
-    memory before any process starts."""
-    s = g.n if sample is None else sample
-    _check_dense(workers * _closure_bytes(g.n, s),
-                 f"{workers} concurrent closures at n={g.n}, s={s}")
+                   sample: int | None) -> list | None:
+    """The unbounded counts of trials 0..trials-1, in trial order, from one
+    forked worker process per usable core and trial, as many as physical
+    memory holds closures for; or None, to count them in order, when fewer
+    than two workers would run, when n * trials is below
+    _POOL_MIN_RANK_TRIALS, or in a daemonic process (a pool's own worker),
+    which may not start any. Fork, not spawn: the workers inherit g and the
+    imported numpy instead of importing and unpickling them, and the closure
+    engine calls no BLAS, so no BLAS thread pool is used after the fork."""
+    n = g.n
+    if n * trials < _POOL_MIN_RANK_TRIALS:
+        return None
+    closure = _closure_bytes(n, n if sample is None else sample)
+    workers = min(_usable_cores(), trials,
+                  graphs._physical_memory() // closure)
     import multiprocessing
+    if workers < 2 or multiprocessing.current_process().daemon:
+        return None
     ctx = multiprocessing.get_context("fork")
     # on an error, leaving the with block terminates and reaps the workers
     with ctx.Pool(workers, _start_worker, (g, psi, master, sample)) as pool:
@@ -633,15 +660,17 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
     afterwards, and the count over them is scaled by n / source_sample
     (unbiased). Every trial draws only from its own stream and the counts
     are kept in trial order, so the report is a pure function of the
-    arguments and the same for every `jobs`.
+    arguments, however many processes count it.
 
-    With jobs > 1, unbounded counts run on min(jobs, trials) forked worker
-    processes, checked first against physical memory as that many
-    concurrent closures; on 2 cores, 32 trials on a filtered four-hop
-    spanner at n=1024 took 211 instead of 350 ms. Hop-bounded counts
-    always run in order in this process: their BLAS products already use
-    every core, and two forked workers each running BLAS threads took 605
-    against 353 ms in order (k=4, 24 trials).
+    Unbounded counts with n * trials >= _POOL_MIN_RANK_TRIALS run on one
+    forked worker process per usable core (os.sched_getaffinity) and
+    trial, as many as physical memory holds closures for (_pooled_counts);
+    on 2 cores, 32 trials on a filtered four-hop spanner at n=1024 took 211
+    instead of 350 ms. Smaller inputs, one usable core and hop-bounded
+    counts run in order in this process. Hop-bounded products already use
+    every core through BLAS, and two forked workers each running BLAS
+    threads took 605 against 353 ms in order (k=4, 24 trials). `jobs` is
+    validated (>= 1) and otherwise ignored.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -659,10 +688,9 @@ def monte_carlo_deficiency(g: RankGraph, psi: float, trials: int,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     n = g.n
     sample = None if source_sample is None or source_sample >= n else source_sample
-    workers = min(jobs, trials)
-    if hop_bound is None and workers > 1:
-        counts = _pooled_counts(g, psi, trials, master, sample, workers)
-    else:
+    counts = (None if hop_bound is not None
+              else _pooled_counts(g, psi, trials, master, sample))
+    if counts is None:
         def count(h: RankGraph, stream):
             if hop_bound is not None:
                 return khop_deficiency(h, hop_bound)

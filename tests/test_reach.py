@@ -525,44 +525,83 @@ def _no_processes(method=None):
     raise AssertionError("a process was started")
 
 
+def _allow_pool(monkeypatch, cores):
+    """Pool any unbounded input on `cores` usable cores; return the list
+    the size of each pool started is appended to."""
+    monkeypatch.setattr(reach, "_POOL_MIN_RANK_TRIALS", 0)
+    monkeypatch.setattr(reach, "_usable_cores", lambda: cores)
+    ctx = multiprocessing.get_context("fork")
+    sizes, real = [], ctx.Pool
+    monkeypatch.setattr(ctx, "Pool",
+                        lambda workers, *a: sizes.append(workers) or real(workers, *a))
+    return sizes
+
+
 def test_monte_carlo_deterministic_and_thread_invariant(monkeypatch):
-    # hop-bounded trials run in order in this process whatever jobs says
+    # hop-bounded trials run in order in this process, even where an
+    # unbounded count would start a pool
     g = complete_graph(60)
     a = monte_carlo_deficiency(g, 0.4, 8, hop_bound=2, master=17, jobs=1)
+    _allow_pool(monkeypatch, 3)
     monkeypatch.setattr(multiprocessing, "get_context", _no_processes)
     b = monte_carlo_deficiency(g, 0.4, 8, hop_bound=2, master=17, jobs=3)
     assert a == b
 
 
 def test_monte_carlo_pool_gives_the_in_order_report(monkeypatch):
-    # unbounded trials on min(jobs, trials) forked workers: the counts come
-    # back in trial order, so the report is the same for every jobs, and
-    # every worker is reaped before the call returns
+    # unbounded trials on min(cores, trials) forked workers: the counts come
+    # back in trial order, so the report is the in-order one for every core
+    # count and every jobs, and every worker is reaped before the call
+    # returns
     g = filter_edges(four_hop_spanner(256, 0.5, 4.0, seed=5), 0.8,
                      derive_stream(5, 0))
     trials = 5
-    pooled = []
-    real = reach._pooled_counts
-    monkeypatch.setattr(reach, "_pooled_counts",
-                        lambda *args: pooled.append(args[-1]) or real(*args))
+    sizes = _allow_pool(monkeypatch, 1)
     for kw in ({}, {"source_sample": 40}):
+        monkeypatch.setattr(reach, "_usable_cores", lambda: 1)
         want = monte_carlo_deficiency(g, 0.6, trials, master=11, **kw)
         assert want.mean_failed_pairs > 0
-        for jobs in (2, 3, trials + 2):
-            rep = monte_carlo_deficiency(g, 0.6, trials, master=11,
-                                         jobs=jobs, **kw)
-            assert rep == want, (kw, jobs)
-            assert multiprocessing.active_children() == []
-    assert pooled == [2, 3, trials] * 2
+        for cores in (2, 3, trials + 2):
+            monkeypatch.setattr(reach, "_usable_cores", lambda: cores)
+            for jobs in (1, cores):
+                rep = monte_carlo_deficiency(g, 0.6, trials, master=11,
+                                             jobs=jobs, **kw)
+                assert rep == want, (kw, cores, jobs)
+                assert multiprocessing.active_children() == []
+    assert sizes == [2, 2, 3, 3, trials, trials] * 2
+
+
+def test_monte_carlo_pools_only_large_inputs_on_several_cores(monkeypatch):
+    # n * trials = 2^14 ranks swept starts a pool; one trial less, one
+    # usable core, or a daemonic caller (itself a pool's worker) counts in
+    # order
+    g = filter_edges(interval_graph(1024, 2), 0.9, derive_stream(2, 0))
+    sizes = _allow_pool(monkeypatch, 1)
+    want = monte_carlo_deficiency(g, 0.9, 16, master=4)
+    monkeypatch.setattr(reach, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(reach, "_POOL_MIN_RANK_TRIALS", 1 << 14)
+    assert monte_carlo_deficiency(g, 0.9, 16, master=4) == want
+    assert sizes == [2]
+    monte_carlo_deficiency(g, 0.9, 15, master=4)
+    assert sizes == [2]
+    monkeypatch.setattr(reach, "_usable_cores", lambda: 1)
+    assert monte_carlo_deficiency(g, 0.9, 16, master=4) == want
+    monkeypatch.setattr(reach, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert monte_carlo_deficiency(g, 0.9, 16, master=4) == want
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_monte_carlo_pool_passes_worker_errors_on(monkeypatch):
     def fail(h):
         raise ValueError(f"trial failed in process {os.getpid()}")
 
+    sizes = _allow_pool(monkeypatch, 2)
     monkeypatch.setattr(reach, "deficiency", fail)
     with pytest.raises(ValueError, match="trial failed in process") as err:
-        monte_carlo_deficiency(interval_graph(40, 5), 0.5, 4, jobs=2)
+        monte_carlo_deficiency(interval_graph(40, 5), 0.5, 4)
+    assert sizes == [2]
     assert int(str(err.value).split()[-1]) != os.getpid()
     assert multiprocessing.active_children() == []
 
@@ -621,22 +660,21 @@ def test_closure_refuses_more_than_physical_memory(monkeypatch):
             count()
 
 
-def test_pool_refuses_concurrent_closures_beyond_physical_memory(monkeypatch):
-    # min(jobs, trials) closures are alive at once: two of 151 * 3 * 8 bytes
-    # over all 150 sources, two of 151 * 2 * 8 over a sample of 100. One
-    # byte less refuses the pool before any process starts, where one
-    # closure in order still fits.
+def test_pool_starts_as_many_workers_as_closures_fit_in_memory(monkeypatch):
+    # every worker holds one closure: 151 * 3 * 8 bytes over all 150
+    # sources, 151 * 2 * 8 over a sample of 100. Memory for two of them
+    # starts two of the three usable cores' workers; one byte less counts
+    # in order, where one closure still fits.
     g = interval_graph(150, 10)
     for one, kw in ((151 * 3 * 8, {}), (151 * 2 * 8, {"source_sample": 100})):
         want = monte_carlo_deficiency(g, 0.5, 3, master=3, **kw)
-        monkeypatch.setattr(graphs, "_physical_memory", lambda: 2 * one)
-        assert monte_carlo_deficiency(g, 0.5, 3, master=3, jobs=2, **kw) == want
-        monkeypatch.setattr(graphs, "_physical_memory", lambda: 2 * one - 1)
-        assert monte_carlo_deficiency(g, 0.5, 3, master=3, **kw) == want
         with monkeypatch.context() as m:
-            m.setattr(multiprocessing, "get_context", _no_processes)
-            with pytest.raises(ValueError, match="2 concurrent closures"):
-                monte_carlo_deficiency(g, 0.5, 3, master=3, jobs=2, **kw)
+            sizes = _allow_pool(m, 3)
+            m.setattr(graphs, "_physical_memory", lambda: 2 * one)
+            assert monte_carlo_deficiency(g, 0.5, 3, master=3, **kw) == want
+            m.setattr(graphs, "_physical_memory", lambda: 2 * one - 1)
+            assert monte_carlo_deficiency(g, 0.5, 3, master=3, **kw) == want
+            assert sizes == [2]
 
 
 def test_monte_carlo_validation():
